@@ -1,14 +1,11 @@
-//! Criterion microbenchmark for bundle cold-start: schema-v1 eager
-//! deserialization (parse every section into owned structures, then
-//! rebuild the extractor's automata) vs the schema-v2 zero-copy path
-//! (validate offsets + hashes, borrow the lexicon/blocklist arenas
-//! straight out of the loaded bytes).
+//! Criterion microbenchmark for bundle cold-start: validate offsets +
+//! hashes, then assemble the serving extractor, which borrows the
+//! lexicon/feature/blocklist arenas straight out of the loaded bytes.
 //!
-//! Both variants run against the committed smoke bundles under
-//! `benches/data/` — the same frozen model written in both schemas by
-//! `pae-bench freeze --schema 1|2` (MASTER_SEED=42, so the fixtures
-//! are reproducible bit for bit). Bytes are pre-read outside the timed
-//! region: the bench isolates decode+assemble, not disk I/O.
+//! Runs against the committed smoke bundle `benches/data/smoke.paeb`,
+//! written by `pae-bench freeze --products 60` (MASTER_SEED=42, so the
+//! fixture is reproducible bit for bit). Bytes are pre-read outside the
+//! timed region: the bench isolates validate+assemble, not disk I/O.
 //!
 //! Like `crf_micro`, a custom `main` merges full-mode results into
 //! `BENCH_pipeline.json`; smoke mode (no `--bench`) persists nothing.
@@ -20,50 +17,27 @@ use criterion::{black_box, criterion_group, Criterion};
 
 use pae_core::LoadedBundle;
 
-fn data_dir() -> &'static Path {
-    Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/benches/data"))
-}
-
-fn read_fixture(name: &str) -> Vec<u8> {
-    let path = data_dir().join(name);
-    std::fs::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\n(regenerate with: cargo run --release -p pae-bench --bin freeze -- \
-             {} --products 60 --schema <1|2> --force)",
-            path.display(),
-            path.display()
-        )
-    })
-}
-
 fn bench_bundle_load(c: &mut Criterion) {
-    let v1 = read_fixture("smoke_v1.paeb");
-    let v2: Arc<[u8]> = read_fixture("smoke_v2.paeb").into();
-
-    // Both fixtures must hold the same model — the comparison is
-    // meaningless otherwise.
-    let eager = pae_core::bundle::decode(&v1).expect("v1 fixture decodes");
-    let loaded = LoadedBundle::from_shared(v2.clone()).expect("v2 fixture loads");
-    assert_eq!(loaded.schema_version(), pae_core::BUNDLE_SCHEMA_V2);
-    assert_eq!(eager, loaded.model().expect("v2 rehydrates"));
+    let path = Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/benches/data/smoke.paeb"
+    ));
+    let bytes: Arc<[u8]> = std::fs::read(path)
+        .unwrap_or_else(|e| {
+            panic!(
+                "{}: {e}\n(regenerate with: cargo run --release -p pae-bench --bin freeze -- \
+                 {} --products 60 --force)",
+                path.display(),
+                path.display()
+            )
+        })
+        .into();
 
     let mut group = c.benchmark_group("bundle_load");
     group.sample_size(20);
-    // Cold start, legacy path: parse all sections into owned structs,
-    // then FrozenModel::extractor() recompiles the lexicon automaton
-    // and re-interns the feature names.
-    group.bench_function("eager_v1", |b| {
+    group.bench_function("zero_copy", |b| {
         b.iter(|| {
-            let model = pae_core::bundle::decode(black_box(&v1)).expect("decode v1");
-            let extractor = model.extractor().expect("rehydrate");
-            extractor.attrs().len()
-        })
-    });
-    // Cold start, zero-copy path: one hash pass over the payload plus
-    // offset validation; the extractor borrows the arenas in place.
-    group.bench_function("zero_copy_v2", |b| {
-        b.iter(|| {
-            let loaded = LoadedBundle::from_shared(black_box(v2.clone())).expect("load v2");
+            let loaded = LoadedBundle::from_shared(black_box(bytes.clone())).expect("load");
             let extractor = loaded.extractor().expect("assemble");
             extractor.attrs().len()
         })

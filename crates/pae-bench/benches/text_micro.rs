@@ -135,8 +135,7 @@ fn bench_longest_match(c: &mut Criterion) {
             let mut total = 0usize;
             for (text, chars) in texts.iter().zip(&char_maps) {
                 for &(byte_pos, _) in chars.iter() {
-                    if let Some((len, _tag)) = frozen.longest_match_at(black_box(text), byte_pos)
-                    {
+                    if let Some((len, _tag)) = frozen.longest_match_at(black_box(text), byte_pos) {
                         total += len;
                     }
                 }
@@ -203,9 +202,7 @@ fn bench_lexicon(c: &mut Criterion) {
     });
     group.bench_function("compile_from_entries", |b| {
         b.iter(|| {
-            let lex = Lexicon::from_entries(
-                entries.iter().map(|(w, t)| (w.clone(), *t)),
-            );
+            let lex = Lexicon::from_entries(entries.iter().map(|(w, t)| (w.clone(), *t)));
             lex.compiled().n_keys()
         })
     });

@@ -3,14 +3,8 @@
 //!
 //! ```text
 //! freeze <out.paeb> [--kind vacuum|garden|bags] [--products N]
-//!        [--iterations N] [--tagger crf|rnn|ensemble] [--schema 1|2|3]
-//!        [--force]
+//!        [--iterations N] [--tagger crf|rnn|ensemble] [--force]
 //! ```
-//!
-//! `--schema 1` writes the legacy eager-deserialize format and
-//! `--schema 2` the zero-copy layout without reference stats (both for
-//! backward-compat fixtures); the default is the current zero-copy
-//! schema with the freeze-time reference-stats section.
 //!
 //! Runs the bootstrap loop on the synthetic category (MASTER_SEED=42,
 //! so the bundle is reproducible bit for bit), freezes the outcome
@@ -31,7 +25,7 @@ use pae_synth::{CategoryKind, DatasetSpec};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: freeze <out.paeb> [--kind vacuum|garden|bags] [--products N] \
-         [--iterations N] [--tagger crf|rnn|ensemble] [--schema 1|2|3] [--force]"
+         [--iterations N] [--tagger crf|rnn|ensemble] [--force]"
     );
     ExitCode::from(2)
 }
@@ -47,7 +41,6 @@ fn main() -> ExitCode {
     let mut products = 120usize;
     let mut iterations = 1usize;
     let mut tagger = TaggerKind::Crf;
-    let mut schema = pae_core::BUNDLE_SCHEMA_VERSION;
     let mut it = cli.args.iter().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -69,12 +62,6 @@ fn main() -> ExitCode {
                 Some("crf") => tagger = TaggerKind::Crf,
                 Some("rnn") => tagger = TaggerKind::Rnn,
                 Some("ensemble") => tagger = TaggerKind::Ensemble,
-                _ => return usage(),
-            },
-            "--schema" => match it.next().map(String::as_str) {
-                Some("1") => schema = pae_core::BUNDLE_SCHEMA_V1,
-                Some("2") => schema = pae_core::BUNDLE_SCHEMA_V2,
-                Some("3") => schema = pae_core::BUNDLE_SCHEMA_VERSION,
                 _ => return usage(),
             },
             _ if out.is_none() && !arg.starts_with('-') => out = Some(arg.clone()),
@@ -117,20 +104,14 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     }
-    let bytes = if schema == pae_core::BUNDLE_SCHEMA_V1 {
-        pae_core::bundle::encode_v1(&model)
-    } else if schema == pae_core::BUNDLE_SCHEMA_V2 {
-        pae_core::bundle::encode_v2(&model)
-    } else {
-        pae_core::bundle::encode(&model)
-    };
-    match pae_core::bundle::write_bundle_bytes(&bytes, path, force) {
+    match pae_core::write_bundle(&model, path, force) {
         Ok(hash) => {
             let size = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
             println!(
-                "wrote {} ({} bytes, schema v{schema}, hash {hash:016x}, {} attrs)",
+                "wrote {} ({} bytes, schema v{}, hash {hash:016x}, {} attrs)",
                 path.display(),
                 size,
+                pae_core::BUNDLE_SCHEMA_VERSION,
                 model.attrs.len()
             );
         }

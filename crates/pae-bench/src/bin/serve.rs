@@ -14,10 +14,10 @@
 //! latency is measured from its *scheduled* send time, so queueing
 //! delay under overload is charged to the tail (no coordinated
 //! omission). Exact p50/p99/p999 over the sorted latencies are
-//! reported and merged into `BENCH_pipeline.json` as `serve/p50`,
-//! `serve/p99`, `serve/p999` for `pae-report check --bench-baseline`;
-//! `--ledger` additionally writes the server-side `serve.request`
-//! stage summary for `pae-report check --baseline`.
+//! printed and observed as `serve.load.quantile_ns`; `--ledger` writes
+//! the server-side `serve.request` stage summary for `pae-report check
+//! --baseline`. End-to-end and per-layer serving performance is the
+//! repository benchmark's job (`perfbench/`).
 //!
 //! The run also exercises the server's own observability: `/metrics`
 //! is scraped before and after the load (both scrapes must
@@ -26,8 +26,6 @@
 //! are printed next to the client-observed ones and asserted to agree
 //! within tolerance (the server-side view excludes open-loop queueing,
 //! so it must never *exceed* the client view by more than the slack).
-//! Server-side p50/p99 are merged as `serve/server_p50` and
-//! `serve/server_p99`.
 //!
 //! The run also gates the server's *field quality* view: `/qualityz`
 //! is read after the load and its 5m window is replayed into the
@@ -39,7 +37,7 @@
 //! values — a deliberate value-length distribution shift — and the
 //! run asserts the drift telemetry actually fires (`quality:
 //! degraded`, some attribute PSI above the threshold). `--skew`
-//! requires a schema-v3 bundle with embedded reference stats.
+//! requires a bundle with embedded reference stats.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -47,7 +45,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use pae_bench::cli::RunCli;
-use pae_bench::{update_bench_json, BenchRecord};
 use pae_obs::export::prometheus::{parse_text, validate, Sample};
 use pae_obs::json::Json;
 use pae_serve::{http_request, parse_extract_response, Server, ServerConfig};
@@ -248,7 +245,7 @@ fn main() -> ExitCode {
     let extractor = match loaded.extractor() {
         Ok(x) => x,
         Err(e) => {
-            eprintln!("serve: cannot rehydrate model: {e}");
+            eprintln!("serve: cannot build extractor: {e}");
             return ExitCode::from(1);
         }
     };
@@ -262,8 +259,7 @@ fn main() -> ExitCode {
     if skew && reference.is_none() {
         eprintln!(
             "serve: --skew asserts drift telemetry fires, which needs a bundle with \
-             embedded reference stats (schema v3); this bundle is schema v{}",
-            loaded.schema_version()
+             embedded reference stats; this bundle has none"
         );
         return ExitCode::from(1);
     }
@@ -273,7 +269,6 @@ fn main() -> ExitCode {
             addr: "127.0.0.1:0".to_owned(),
             workers: server_workers,
             bundle_hash: loaded.content_hash(),
-            bundle_schema: loaded.schema_version(),
             bundle_load_ns: load_start.elapsed().as_nanos() as u64,
             reference,
             ..ServerConfig::default()
@@ -571,33 +566,6 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
 
-    let samples = latencies.len() as u64;
-    let records: Vec<BenchRecord> = [
-        ("serve/p50", p50),
-        ("serve/p99", p99),
-        ("serve/p999", p999),
-        ("serve/server_p50", server_p50),
-        ("serve/server_p99", server_p99),
-    ]
-    .into_iter()
-    .map(|(id, v)| BenchRecord {
-        id: id.to_owned(),
-        samples,
-        min_ns: min,
-        median_ns: v,
-        mean_ns: mean,
-    })
-    .collect();
-    match update_bench_json(&RunCli::repo_root(), &records) {
-        Ok(path) => println!(
-            "merged serve/p50|p99|p999 + server_p50|server_p99 into {}",
-            path.display()
-        ),
-        Err(e) => {
-            eprintln!("serve: cannot update bench ledger: {e}");
-            return ExitCode::from(1);
-        }
-    }
     cli.finish();
     ExitCode::SUCCESS
 }

@@ -1,5 +1,6 @@
 //! Versioned on-disk form of a [`FrozenModel`]: one self-describing,
-//! byte-deterministic artifact.
+//! byte-deterministic artifact, and the only way a serving
+//! [`FrozenExtractor`] is built.
 //!
 //! Schema v3 layout (all integers little-endian):
 //!
@@ -10,19 +11,11 @@
 //! payload: sections at 8-byte-aligned offsets, zero-padded between
 //! ```
 //!
-//! v3 is v2 plus one trailing section (id 7): the freeze-time
-//! [`ReferenceStats`] the serving quality monitor scores live traffic
-//! against. The section body starts with a presence flag (like the
-//! semantic section), so a model without reference stats still encodes
-//! deterministically; v2 bundles (6 sections) still load, reporting
-//! [`LoadedBundle::reference`] as `None` — "no-reference" serving mode.
-//! [`encode_v2`] is kept as a writer for compatibility fixtures.
-//!
-//! v2 stores the string dictionaries — segmentation/PoS lexicon, CRF
-//! feature vocabulary, veto blocklist — as flat [`pae_fst`] double-array
-//! arenas. [`LoadedBundle::open`] validates the header, the section
-//! table, and every per-section hash (word-folded FNV-1a,
-//! [`fnv1a_words`]), but decodes nothing;
+//! The string dictionaries — segmentation/PoS lexicon, CRF feature
+//! vocabulary, veto blocklist — are stored as flat [`pae_fst`]
+//! double-array arenas. [`LoadedBundle::from_shared`] validates the
+//! header, the section table, and every per-section hash (word-folded
+//! FNV-1a, [`fnv1a_words`]), but decodes nothing;
 //! [`LoadedBundle::extractor`] then *borrows* the arenas straight out
 //! of the loaded bytes (`Arc<[u8]>` sub-ranges), so cold-start cost is
 //! hash + offset validation plus one bulk copy of the numeric CRF
@@ -31,47 +24,44 @@
 //! the per-section hashes), making it a cheap transitive identity for
 //! the whole payload.
 //!
-//! Schema v1 (`[ id | offset | len ]` table, `content_hash` over the
-//! payload, length-prefixed strings everywhere) is still read via the
-//! legacy eager-deserialize path; [`encode_v1`] is kept as a writer for
-//! compatibility fixtures. Readers validate magic, schema version,
-//! hashes, section table shape, and every section's internal structure
-//! (strict: trailing bytes are an error) — a bad bundle is always a
-//! typed [`BundleError`], never a panic.
+//! The hashes catch accidental corruption, not a crafted bundle: anyone
+//! can recompute them. Readers therefore also validate every section's
+//! internal structure (strict: trailing bytes are an error), including
+//! the values a loaded automaton can yield — a bad bundle is always a
+//! typed [`BundleError`], never a panic at load or serve time.
 //!
 //! Section inventory (ids are stable; adding a section bumps the
 //! schema version): 1 meta, 2 attrs, 3 lexicon, 4 tagger, 5 veto
-//! blocklist, 6 semantic freeze, 7 reference stats (v3+).
+//! blocklist, 6 semantic freeze, 7 reference stats. The last holds the
+//! freeze-time [`ReferenceStats`] the serving quality monitor scores
+//! live traffic against; its body starts with a presence flag (like
+//! the semantic section), so a model without reference stats still
+//! encodes deterministically and loads in "no-reference" mode.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use pae_fst::Fst;
 use pae_synth::Language;
-use pae_text::{Lexicon, PosTag};
+use pae_text::{Lexicon, LexiconPosTagger, SentenceSplitter};
 
 use crate::cleaning::SemanticFreeze;
 use crate::frozen::{
-    assemble_extractor, blocklist_key, crf_tagger_from_parts, Blocklist, ConfigEcho,
-    ExtractBackend, FrozenExtractor, FrozenModel, FrozenTagger,
+    blocklist_key, ConfigEcho, ExtractBackend, FrozenExtractor, FrozenModel, FrozenTagger,
 };
 use crate::quality::{AttrReference, BackendReference, ReferenceStats, CONF_BUCKETS, LEN_BUCKETS};
 use crate::tagger::TrainedTagger;
+use crate::trainset::LabelSpace;
 
 /// Leading magic bytes of every bundle.
 pub const BUNDLE_MAGIC: [u8; 4] = *b"PAEB";
-/// Current bundle schema version (v2 + the reference-stats section).
+/// The bundle schema version this build reads and writes.
 pub const BUNDLE_SCHEMA_VERSION: u32 = 3;
-/// The previous tabled schema (no reference-stats section); still read,
-/// and still written by [`encode_v2`] for compatibility fixtures.
-pub const BUNDLE_SCHEMA_V2: u32 = 2;
-/// The legacy eager-deserialize schema this build still reads.
-pub const BUNDLE_SCHEMA_V1: u32 = 1;
 
-/// Fixed header size shared by all schemas.
+/// Fixed header size: magic | version | content hash | section count.
 const HEADER_BYTES: usize = 20;
-/// Tabled (v2+) section-table entry: id u32 | reserved u32 | offset u64 | len u64 | hash u64.
-const V2_ENTRY_BYTES: usize = 32;
+/// Section-table entry: id u32 | reserved u32 | offset u64 | len u64 | hash u64.
+const ENTRY_BYTES: usize = 32;
 
 const SEC_META: u32 = 1;
 const SEC_ATTRS: u32 = 2;
@@ -80,7 +70,7 @@ const SEC_TAGGER: u32 = 4;
 const SEC_VETO: u32 = 5;
 const SEC_SEMANTIC: u32 = 6;
 const SEC_REFERENCE: u32 = 7;
-/// Section inventory of the current (v3) schema.
+/// The section inventory, in table order.
 const SECTION_IDS: [u32; 7] = [
     SEC_META,
     SEC_ATTRS,
@@ -90,35 +80,27 @@ const SECTION_IDS: [u32; 7] = [
     SEC_SEMANTIC,
     SEC_REFERENCE,
 ];
-/// Section inventory of schema v2 (everything but reference stats).
-const V2_SECTION_IDS: [u32; 6] = [
-    SEC_META,
-    SEC_ATTRS,
-    SEC_LEXICON,
-    SEC_TAGGER,
-    SEC_VETO,
-    SEC_SEMANTIC,
-];
+/// First payload byte: header + table, rounded up to 8.
+const PAYLOAD_START: usize = (HEADER_BYTES + SECTION_IDS.len() * ENTRY_BYTES + 7) & !7;
 
-/// First payload byte of a tabled bundle: header + table, rounded up
-/// to 8.
-const fn payload_start(n_sections: usize) -> usize {
-    (HEADER_BYTES + n_sections * V2_ENTRY_BYTES + 7) & !7
-}
+/// Largest CRF feature-window radius a bundle may declare. The
+/// extractor pre-renders `2·window + 1` template prefixes, so an
+/// unbounded (crafted) radius would be an allocation bomb at load;
+/// trained models use 2.
+const MAX_CRF_WINDOW: usize = 64;
 
 /// Why a bundle could not be read (or written).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BundleError {
     /// The file does not start with [`BUNDLE_MAGIC`].
     BadMagic,
-    /// The schema version is none of [`BUNDLE_SCHEMA_VERSION`],
-    /// [`BUNDLE_SCHEMA_V2`], or [`BUNDLE_SCHEMA_V1`].
+    /// The schema version is not [`BUNDLE_SCHEMA_VERSION`].
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
     },
-    /// A region does not hash to its declared hash (the v1 payload, the
-    /// v2 section table, or a v2 section).
+    /// A region does not hash to its declared hash (the section table
+    /// or a section).
     HashMismatch {
         /// Hash recorded in the header or section table.
         expected: u64,
@@ -142,7 +124,7 @@ impl std::fmt::Display for BundleError {
             BundleError::UnsupportedVersion { found } => write!(
                 f,
                 "unsupported bundle schema version {found} (this build reads \
-                 versions {BUNDLE_SCHEMA_V1} through {BUNDLE_SCHEMA_VERSION})"
+                 version {BUNDLE_SCHEMA_VERSION})"
             ),
             BundleError::HashMismatch { expected, actual } => write!(
                 f,
@@ -170,7 +152,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// FNV-1a 64-bit with an 8-byte input unit: same offset basis, prime,
 /// and xor-multiply mixing, but folding one little-endian u64 word per
-/// step (tail zero-padded). The schema-v2 **section** hashes use this
+/// step (tail zero-padded). The bundle's **section** hashes use this
 /// variant — the byte-at-a-time loop is a serial multiply per byte
 /// (≈1 ns/byte), which made the load-time integrity pass the dominant
 /// cold-start cost; folding words cuts the dependency chain 8× so
@@ -179,9 +161,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// state. Inputs differing only in trailing zero bytes can collide
 /// (the tail is zero-padded), which is fine for section hashing: the
 /// section *length* is committed separately in the table entry, so the
-/// `(len, hash)` pair still pins the content. (The v1 payload hash and
-/// the v2 *table* hash keep plain [`fnv1a`]: v1 is a frozen format,
-/// and the table is 192 bytes.)
+/// `(len, hash)` pair still pins the content. (The *table* hash keeps
+/// plain [`fnv1a`]: the table is 224 bytes.)
 pub fn fnv1a_words(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut chunks = bytes.chunks_exact(8);
@@ -223,13 +204,6 @@ fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
     put_u64(out, vs.len() as u64);
     for &v in vs {
         put_f32(out, v);
-    }
-}
-
-fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
-    put_u64(out, vs.len() as u64);
-    for &v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -311,15 +285,6 @@ impl<'a> Reader<'a> {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.f32(what)?);
-        }
-        Ok(out)
-    }
-
-    fn f64s(&mut self, what: &str) -> Result<Vec<f64>, BundleError> {
-        let n = self.len(8, what)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(f64::from_le_bytes(self.take(8, what)?.try_into().unwrap()));
         }
         Ok(out)
     }
@@ -427,7 +392,7 @@ impl<'a> ArcReader<'a> {
     }
 
     /// Consumes zero padding up to the next 8-byte boundary (positions
-    /// are absolute and every v2 section starts 8-aligned).
+    /// are absolute and every section starts 8-aligned).
     fn skip_padding(&mut self, what: &str) -> Result<(), BundleError> {
         let misalign = self.pos % 8;
         if misalign == 0 {
@@ -452,7 +417,7 @@ impl<'a> ArcReader<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Section codecs shared by both schemas.
+// Section codecs.
 
 fn language_tag(l: Language) -> u8 {
     match l {
@@ -613,7 +578,7 @@ fn decode_semantic_section(buf: &[u8]) -> Result<Option<SemanticFreeze>, BundleE
     Ok(semantic)
 }
 
-/// Reference-stats section (id 7, v3+): a presence flag, then the
+/// Reference-stats section (id 7): a presence flag, then the
 /// freeze-time corpus counters. Integer-only, so encoding is trivially
 /// byte-deterministic; per-attribute rates are derived at read time
 /// from `triples` and `pages`, never stored as floats.
@@ -723,113 +688,9 @@ fn decode_reference_section(buf: &[u8]) -> Result<Option<ReferenceStats>, Bundle
 }
 
 // ---------------------------------------------------------------------
-// v1 section codecs (legacy: length-prefixed strings everywhere).
+// Arena-backed section codecs (flat automata, 8-aligned records).
 
-fn encode_lexicon_v1(m: &FrozenModel) -> Vec<u8> {
-    let mut entries: Vec<(String, PosTag)> = m.lexicon.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut out = Vec::new();
-    put_u64(&mut out, entries.len() as u64);
-    for (word, tag) in entries {
-        put_str(&mut out, &word);
-        out.push(tag.index() as u8);
-    }
-    out
-}
-
-fn encode_tagger_v1_into(out: &mut Vec<u8>, t: &FrozenTagger) {
-    match t {
-        FrozenTagger::Crf {
-            n_labels,
-            params,
-            feature_names,
-            window,
-            max_sentence_bucket,
-        } => {
-            out.push(0);
-            put_u64(out, *n_labels as u64);
-            put_u64(out, *window as u64);
-            put_u64(out, *max_sentence_bucket as u64);
-            put_f64s(out, params);
-            put_u64(out, feature_names.len() as u64);
-            for name in feature_names {
-                put_str(out, name);
-            }
-        }
-        FrozenTagger::Rnn { bytes } => {
-            out.push(1);
-            put_u64(out, bytes.len() as u64);
-            out.extend_from_slice(bytes);
-        }
-        FrozenTagger::Ensemble { crf, rnn } => {
-            out.push(2);
-            encode_tagger_v1_into(out, crf);
-            encode_tagger_v1_into(out, rnn);
-        }
-    }
-}
-
-fn encode_veto_v1(m: &FrozenModel) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, m.veto_blocklist.len() as u64);
-    for (attr, value) in &m.veto_blocklist {
-        put_str(&mut out, attr);
-        put_str(&mut out, value);
-    }
-    out
-}
-
-fn decode_tagger_v1(r: &mut Reader, depth: usize) -> Result<FrozenTagger, BundleError> {
-    match r.u8("tagger kind")? {
-        0 => {
-            let n_labels = r.u64("crf n_labels")? as usize;
-            let window = r.u64("crf window")? as usize;
-            let max_sentence_bucket = r.u64("crf sentence bucket")? as usize;
-            let params = r.f64s("crf params")?;
-            let n_names = r.len(8, "crf feature count")?;
-            let mut feature_names = Vec::with_capacity(n_names);
-            for _ in 0..n_names {
-                feature_names.push(r.string("crf feature name")?);
-            }
-            let expected = pae_crf::CrfModel::param_len(feature_names.len(), n_labels);
-            if params.len() != expected {
-                return Err(BundleError::Malformed(format!(
-                    "CRF parameter vector has {} entries, expected {expected}",
-                    params.len()
-                )));
-            }
-            Ok(FrozenTagger::Crf {
-                n_labels,
-                params,
-                feature_names,
-                window,
-                max_sentence_bucket,
-            })
-        }
-        1 => {
-            let n = r.len(1, "rnn byte length")?;
-            let bytes = r.take(n, "rnn bytes")?.to_vec();
-            // Validate eagerly: a bundle must never defer a decode
-            // failure to serve time.
-            pae_neural::BiLstmTagger::from_bytes(&bytes)
-                .map_err(|e| BundleError::Malformed(format!("rnn tagger: {e}")))?;
-            Ok(FrozenTagger::Rnn { bytes })
-        }
-        2 if depth == 0 => Ok(FrozenTagger::Ensemble {
-            crf: Box::new(decode_tagger_v1(r, 1)?),
-            rnn: Box::new(decode_tagger_v1(r, 1)?),
-        }),
-        2 => Err(BundleError::Malformed("nested ensemble tagger".to_owned())),
-        other => Err(BundleError::Malformed(format!(
-            "unknown tagger kind {other}"
-        ))),
-    }
-}
-
-// ---------------------------------------------------------------------
-// v2 section codecs (flat arenas, 8-aligned records).
-
-fn encode_lexicon_v2(m: &FrozenModel) -> Vec<u8> {
+fn encode_lexicon(m: &FrozenModel) -> Vec<u8> {
     m.lexicon.compiled().as_bytes().to_vec()
 }
 
@@ -843,7 +704,7 @@ fn encode_lexicon_v2(m: &FrozenModel) -> Vec<u8> {
 /// rnn:      len u64 | bytes | pad8
 /// ensemble: crf record | rnn record
 /// ```
-fn encode_tagger_v2_into(out: &mut Vec<u8>, t: &FrozenTagger) {
+fn encode_tagger_into(out: &mut Vec<u8>, t: &FrozenTagger) {
     debug_assert_eq!(out.len() % 8, 0, "tagger records start 8-aligned");
     match t {
         FrozenTagger::Crf {
@@ -883,13 +744,13 @@ fn encode_tagger_v2_into(out: &mut Vec<u8>, t: &FrozenTagger) {
         }
         FrozenTagger::Ensemble { crf, rnn } => {
             put_u64(out, 2);
-            encode_tagger_v2_into(out, crf);
-            encode_tagger_v2_into(out, rnn);
+            encode_tagger_into(out, crf);
+            encode_tagger_into(out, rnn);
         }
     }
 }
 
-fn encode_veto_v2(m: &FrozenModel) -> Vec<u8> {
+fn encode_veto(m: &FrozenModel) -> Vec<u8> {
     // Composite keys sort bytewise, which is NOT the (attr, value) pair
     // order when one attr is a strict prefix of another (0xFF compares
     // above every UTF-8 byte), so sort the keys themselves.
@@ -907,9 +768,9 @@ fn encode_veto_v2(m: &FrozenModel) -> Vec<u8> {
     pae_fst::build_fst(&pairs, 0).expect("deduplicated blocklist keys build")
 }
 
-/// A v2 tagger section parsed into parts that can become either a
+/// A tagger section parsed into parts that can become either a
 /// serving backend (zero-copy feature automaton) or a materialized
-/// [`FrozenTagger`] (for API parity with v1).
+/// [`FrozenTagger`].
 enum TaggerParts {
     Crf {
         n_labels: usize,
@@ -936,12 +797,35 @@ fn decode_tagger_parts(r: &mut ArcReader, depth: usize) -> Result<TaggerParts, B
             let params = r.f64s("crf params")?;
             let names = r.carve_fst("crf feature automaton")?;
             r.skip_padding("crf record padding")?;
-            let expected = pae_crf::CrfModel::param_len(names.n_keys(), n_labels);
-            if params.len() != expected {
+            if window > MAX_CRF_WINDOW {
                 return Err(BundleError::Malformed(format!(
-                    "CRF parameter vector has {} entries, expected {expected}",
-                    params.len()
+                    "CRF window radius {window} exceeds {MAX_CRF_WINDOW}"
                 )));
+            }
+            // `param_len` = n_labels · (n_features + n_labels + 2),
+            // checked: a crafted label count must not overflow.
+            let expected = names
+                .n_keys()
+                .checked_add(n_labels)
+                .and_then(|n| n.checked_add(2))
+                .and_then(|n| n.checked_mul(n_labels));
+            if expected != Some(params.len()) {
+                return Err(BundleError::Malformed(format!(
+                    "CRF parameter vector has {} entries, expected {n_labels} labels x \
+                     ({} features + {n_labels} + 2)",
+                    params.len(),
+                    names.n_keys()
+                )));
+            }
+            // Every id the automaton yields indexes a parameter row, so
+            // one out of range would panic the first page that hits it.
+            if let Some(id) = names.view().max_value() {
+                if id as usize >= names.n_keys() {
+                    return Err(BundleError::Malformed(format!(
+                        "feature automaton id {id} out of range for {} features",
+                        names.n_keys()
+                    )));
+                }
             }
             Ok(TaggerParts::Crf {
                 n_labels,
@@ -981,13 +865,21 @@ impl TaggerParts {
                 max_sentence_bucket,
                 params,
                 names,
-            } => crf_tagger_from_parts(
-                n_labels,
-                params,
-                pae_crf::FeatureIndex::from_fst(names),
-                window,
-                max_sentence_bucket,
-            ),
+            } => {
+                let index = pae_crf::FeatureIndex::from_fst(names);
+                Ok(TrainedTagger::Crf {
+                    model: pae_crf::CrfModel {
+                        n_labels,
+                        n_features: index.len(),
+                        params,
+                    },
+                    extractor: pae_crf::FeatureExtractor::new(pae_crf::FeatureTemplates {
+                        window,
+                        max_sentence_bucket,
+                    }),
+                    index,
+                })
+            }
             TaggerParts::Rnn { bytes } => Ok(TrainedTagger::Rnn {
                 model: pae_neural::BiLstmTagger::from_bytes(&bytes)?,
             }),
@@ -1005,7 +897,7 @@ impl TaggerParts {
         }
     }
 
-    /// Materializes the legacy in-memory form (rebuilds the id-ordered
+    /// Materializes the in-memory form (rebuilds the id-ordered
     /// feature name table from the automaton).
     fn to_frozen(&self) -> Result<FrozenTagger, BundleError> {
         match self {
@@ -1053,26 +945,26 @@ impl TaggerParts {
 // ---------------------------------------------------------------------
 // Whole-bundle encode.
 
-/// The six sections shared by every tabled schema, in section-id
-/// order.
-fn common_sections(model: &FrozenModel) -> [(u32, Vec<u8>); 6] {
+/// Every section of `model`'s bundle, in table order.
+fn sections(model: &FrozenModel) -> [(u32, Vec<u8>); 7] {
     let mut tagger = Vec::new();
-    encode_tagger_v2_into(&mut tagger, &model.tagger);
+    encode_tagger_into(&mut tagger, &model.tagger);
     [
         (SEC_META, encode_meta(model)),
         (SEC_ATTRS, encode_attrs(model)),
-        (SEC_LEXICON, encode_lexicon_v2(model)),
+        (SEC_LEXICON, encode_lexicon(model)),
         (SEC_TAGGER, tagger),
-        (SEC_VETO, encode_veto_v2(model)),
+        (SEC_VETO, encode_veto(model)),
         (SEC_SEMANTIC, encode_semantic(model)),
+        (SEC_REFERENCE, encode_reference(model)),
     ]
 }
 
-/// Assembles a tabled (v2+) bundle from already-encoded sections.
-fn encode_tabled(schema: u32, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let payload_start = payload_start(sections.len());
+/// Lays encoded sections out as a bundle: header, hashed table,
+/// 8-aligned payload.
+fn assemble(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let mut payload = Vec::new();
-    let mut table_bytes = Vec::with_capacity(sections.len() * V2_ENTRY_BYTES);
+    let mut table_bytes = Vec::with_capacity(sections.len() * ENTRY_BYTES);
     for (id, bytes) in sections {
         pad8(&mut payload);
         put_u32(&mut table_bytes, *id);
@@ -1082,181 +974,21 @@ fn encode_tabled(schema: u32, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
         put_u64(&mut table_bytes, fnv1a_words(bytes));
         payload.extend_from_slice(bytes);
     }
-    let mut out = Vec::with_capacity(payload_start + payload.len());
+    let mut out = Vec::with_capacity(PAYLOAD_START + payload.len());
     out.extend_from_slice(&BUNDLE_MAGIC);
-    put_u32(&mut out, schema);
+    put_u32(&mut out, BUNDLE_SCHEMA_VERSION);
     put_u64(&mut out, fnv1a(&table_bytes));
     put_u32(&mut out, sections.len() as u32);
     out.extend_from_slice(&table_bytes);
-    out.resize(payload_start, 0);
+    out.resize(PAYLOAD_START, 0);
     out.extend_from_slice(&payload);
     out
 }
 
-/// Serializes a frozen model into schema-v3 bundle bytes.
-/// Deterministic: equal models produce byte-identical bundles.
+/// Serializes a frozen model into bundle bytes. Deterministic: equal
+/// models produce byte-identical bundles.
 pub fn encode(model: &FrozenModel) -> Vec<u8> {
-    let common = common_sections(model);
-    let mut sections: Vec<(u32, Vec<u8>)> = common.into_iter().collect();
-    sections.push((SEC_REFERENCE, encode_reference(model)));
-    encode_tabled(BUNDLE_SCHEMA_VERSION, &sections)
-}
-
-/// Serializes a frozen model into schema-v2 bundle bytes (no
-/// reference-stats section — [`ReferenceStats`] is dropped). Kept as a
-/// writer so compatibility fixtures and migration tests can produce
-/// previous-format bundles from current models.
-pub fn encode_v2(model: &FrozenModel) -> Vec<u8> {
-    encode_tabled(BUNDLE_SCHEMA_V2, &common_sections(model))
-}
-
-/// Serializes a frozen model into legacy schema-v1 bundle bytes. Kept
-/// as a writer so compatibility fixtures and migration tests can
-/// produce old-format bundles from current models.
-pub fn encode_v1(model: &FrozenModel) -> Vec<u8> {
-    let mut tagger = Vec::new();
-    encode_tagger_v1_into(&mut tagger, &model.tagger);
-    let sections: [(u32, Vec<u8>); 6] = [
-        (SEC_META, encode_meta(model)),
-        (SEC_ATTRS, encode_attrs(model)),
-        (SEC_LEXICON, encode_lexicon_v1(model)),
-        (SEC_TAGGER, tagger),
-        (SEC_VETO, encode_veto_v1(model)),
-        (SEC_SEMANTIC, encode_semantic(model)),
-    ];
-    let mut payload = Vec::new();
-    let mut table = Vec::new();
-    for (id, bytes) in &sections {
-        table.push((*id, payload.len() as u64, bytes.len() as u64));
-        payload.extend_from_slice(bytes);
-    }
-    let mut out = Vec::with_capacity(HEADER_BYTES + table.len() * 20 + payload.len());
-    out.extend_from_slice(&BUNDLE_MAGIC);
-    put_u32(&mut out, BUNDLE_SCHEMA_V1);
-    put_u64(&mut out, fnv1a(&payload));
-    put_u32(&mut out, table.len() as u32);
-    for (id, offset, len) in table {
-        put_u32(&mut out, id);
-        put_u64(&mut out, offset);
-        put_u64(&mut out, len);
-    }
-    out.extend_from_slice(&payload);
-    out
-}
-
-// ---------------------------------------------------------------------
-// v1 whole-bundle decode (legacy eager path).
-
-fn decode_v1(bytes: &[u8]) -> Result<FrozenModel, BundleError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4, "magic").map_err(|_| BundleError::BadMagic)? != BUNDLE_MAGIC {
-        return Err(BundleError::BadMagic);
-    }
-    let version = r.u32("schema version")?;
-    if version != BUNDLE_SCHEMA_V1 {
-        return Err(BundleError::UnsupportedVersion { found: version });
-    }
-    let declared_hash = r.u64("content hash")?;
-    let n_sections = r.u32("section count")? as usize;
-    if n_sections != V2_SECTION_IDS.len() {
-        return Err(BundleError::Malformed(format!(
-            "expected {} sections, header declares {n_sections}",
-            V2_SECTION_IDS.len()
-        )));
-    }
-    let mut table = Vec::with_capacity(n_sections);
-    for (i, &want) in V2_SECTION_IDS.iter().enumerate() {
-        let id = r.u32("section id")?;
-        let offset = r.u64("section offset")?;
-        let len = r.u64("section length")?;
-        if id != want {
-            return Err(BundleError::Malformed(format!(
-                "section {i} has id {id}, expected {want}"
-            )));
-        }
-        table.push((offset, len));
-    }
-    let payload = &bytes[r.pos..];
-    let actual_hash = fnv1a(payload);
-    if actual_hash != declared_hash {
-        return Err(BundleError::HashMismatch {
-            expected: declared_hash,
-            actual: actual_hash,
-        });
-    }
-    // Sections must tile the payload exactly, in order.
-    let mut cursor = 0u64;
-    for (i, &(offset, len)) in table.iter().enumerate() {
-        if offset != cursor {
-            return Err(BundleError::Malformed(format!(
-                "section {i} starts at {offset}, expected {cursor}"
-            )));
-        }
-        cursor = offset
-            .checked_add(len)
-            .ok_or_else(|| BundleError::Malformed("section extent overflows".to_owned()))?;
-    }
-    if cursor != payload.len() as u64 {
-        return Err(BundleError::Malformed(format!(
-            "sections cover {cursor} bytes, payload has {}",
-            payload.len()
-        )));
-    }
-    let section = |i: usize| {
-        let (offset, len) = table[i];
-        &payload[offset as usize..(offset + len) as usize]
-    };
-
-    let (language, use_veto, max_value_chars, config) = decode_meta(section(0))?;
-    let attrs = decode_attrs(section(1))?;
-
-    // Lexicon.
-    let mut r = Reader::new(section(2));
-    let n_words = r.len(9, "lexicon entry count")?;
-    let mut entries = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        let word = r.string("lexicon word")?;
-        let tag = r.u8("lexicon tag")? as usize;
-        if tag >= PosTag::ALL.len() {
-            return Err(BundleError::Malformed(format!(
-                "invalid PoS tag index {tag}"
-            )));
-        }
-        entries.push((word, PosTag::from_index(tag)));
-    }
-    r.finish("lexicon section")?;
-    let lexicon = Lexicon::from_entries(entries);
-
-    // Tagger.
-    let mut r = Reader::new(section(3));
-    let tagger = decode_tagger_v1(&mut r, 0)?;
-    r.finish("tagger section")?;
-
-    // Veto blocklist.
-    let mut r = Reader::new(section(4));
-    let n_blocked = r.len(16, "blocklist entry count")?;
-    let mut veto_blocklist = Vec::with_capacity(n_blocked);
-    for _ in 0..n_blocked {
-        let attr = r.string("blocklist attr")?;
-        let value = r.string("blocklist value")?;
-        veto_blocklist.push((attr, value));
-    }
-    r.finish("veto section")?;
-
-    let semantic = decode_semantic_section(section(5))?;
-
-    Ok(FrozenModel {
-        language,
-        lexicon,
-        attrs,
-        tagger,
-        use_veto,
-        max_value_chars,
-        veto_blocklist,
-        semantic,
-        reference: None,
-        config,
-    })
+    assemble(&sections(model))
 }
 
 // ---------------------------------------------------------------------
@@ -1267,21 +999,28 @@ fn decode_v1(bytes: &[u8]) -> Result<FrozenModel, BundleError> {
 /// Opening performs only header/table parsing and hash verification —
 /// no section decoding. [`extractor`](Self::extractor) then assembles a
 /// serving [`FrozenExtractor`] whose lexicon, CRF feature index, and
-/// veto blocklist are automata *borrowing* these bytes (v2), so the
+/// veto blocklist are automata *borrowing* these bytes, so the
 /// dominant load costs are one word-folded hash pass over the payload
 /// ([`fnv1a_words`]) and one bulk copy of the CRF parameter vector.
-/// v1 bundles are transparently decoded through the legacy eager path
-/// at open time.
 pub struct LoadedBundle {
     bytes: Arc<[u8]>,
-    schema: u32,
     content_hash: u64,
-    /// Absolute `(start, len)` per section, in [`SECTION_IDS`] order
-    /// (the trailing reference entry stays `(0, 0)` for v2; unused for
-    /// v1).
+    /// Absolute `(start, len)` per section, in [`SECTION_IDS`] order.
     sections: [(usize, usize); 7],
-    /// The eagerly decoded model for legacy v1 bundles.
-    legacy: Option<FrozenModel>,
+}
+
+/// Validates magic and schema version; returns the reader positioned
+/// at the content hash.
+fn open_header(bytes: &[u8]) -> Result<Reader<'_>, BundleError> {
+    let mut r = Reader::new(bytes);
+    if r.take(4, "magic").map_err(|_| BundleError::BadMagic)? != BUNDLE_MAGIC {
+        return Err(BundleError::BadMagic);
+    }
+    let version = r.u32("schema version")?;
+    if version != BUNDLE_SCHEMA_VERSION {
+        return Err(BundleError::UnsupportedVersion { found: version });
+    }
+    Ok(r)
 }
 
 impl LoadedBundle {
@@ -1300,130 +1039,98 @@ impl LoadedBundle {
     /// Validates shared bytes (the buffer is kept alive by the carved
     /// automata for as long as any extractor uses them).
     pub fn from_shared(bytes: Arc<[u8]>) -> Result<LoadedBundle, BundleError> {
-        let mut r = Reader::new(&bytes);
-        if r.take(4, "magic").map_err(|_| BundleError::BadMagic)? != BUNDLE_MAGIC {
-            return Err(BundleError::BadMagic);
+        let mut r = open_header(&bytes)?;
+        let declared = r.u64("content hash")?;
+        let n_sections = r.u32("section count")? as usize;
+        if n_sections != SECTION_IDS.len() {
+            return Err(BundleError::Malformed(format!(
+                "expected {} sections, header declares {n_sections}",
+                SECTION_IDS.len()
+            )));
         }
-        let version = r.u32("schema version")?;
-        match version {
-            BUNDLE_SCHEMA_V1 => {
-                let content_hash = r.u64("content hash")?;
-                let legacy = decode_v1(&bytes)?;
-                Ok(LoadedBundle {
-                    bytes,
-                    schema: BUNDLE_SCHEMA_V1,
-                    content_hash,
-                    sections: [(0, 0); 7],
-                    legacy: Some(legacy),
-                })
-            }
-            BUNDLE_SCHEMA_V2 | BUNDLE_SCHEMA_VERSION => {
-                let ids: &[u32] = if version == BUNDLE_SCHEMA_V2 {
-                    &V2_SECTION_IDS
-                } else {
-                    &SECTION_IDS
-                };
-                let declared = r.u64("content hash")?;
-                let n_sections = r.u32("section count")? as usize;
-                if n_sections != ids.len() {
-                    return Err(BundleError::Malformed(format!(
-                        "expected {} sections, header declares {n_sections}",
-                        ids.len()
-                    )));
-                }
-                let table_bytes = r.take(ids.len() * V2_ENTRY_BYTES, "section table")?;
-                let actual = fnv1a(table_bytes);
-                if actual != declared {
-                    return Err(BundleError::HashMismatch {
-                        expected: declared,
-                        actual,
-                    });
-                }
-                let payload_start = payload_start(ids.len());
-                if bytes.len() < payload_start {
-                    return Err(BundleError::Truncated(format!(
-                        "payload starts at {payload_start}, file has {} bytes",
-                        bytes.len()
-                    )));
-                }
-                let mut t = Reader::new(table_bytes);
-                let mut sections = [(0usize, 0usize); 7];
-                let mut cursor = 0u64;
-                for (i, &want) in ids.iter().enumerate() {
-                    let id = t.u32("section id")?;
-                    let reserved = t.u32("section reserved")?;
-                    let offset = t.u64("section offset")?;
-                    let len = t.u64("section length")?;
-                    let hash = t.u64("section hash")?;
-                    if id != want {
-                        return Err(BundleError::Malformed(format!(
-                            "section {i} has id {id}, expected {want}"
-                        )));
-                    }
-                    if reserved != 0 {
-                        return Err(BundleError::Malformed(format!(
-                            "section {i} has nonzero reserved field {reserved}"
-                        )));
-                    }
-                    let aligned = cursor.checked_add(7).ok_or_else(|| {
-                        BundleError::Malformed("section extent overflows".to_owned())
-                    })? & !7;
-                    if offset != aligned {
-                        return Err(BundleError::Malformed(format!(
-                            "section {i} starts at {offset}, expected {aligned}"
-                        )));
-                    }
-                    let end = offset.checked_add(len).ok_or_else(|| {
-                        BundleError::Malformed("section extent overflows".to_owned())
-                    })?;
-                    let abs_start = payload_start as u64 + offset;
-                    let abs_end = payload_start as u64 + end;
-                    if abs_end > bytes.len() as u64 {
-                        return Err(BundleError::Truncated(format!(
-                            "section {i} extends to {abs_end}, file has {} bytes",
-                            bytes.len()
-                        )));
-                    }
-                    // Inter-section padding is zeros by construction.
-                    let pad = &bytes[(payload_start as u64 + cursor) as usize..abs_start as usize];
-                    if pad.iter().any(|&b| b != 0) {
-                        return Err(BundleError::Malformed(format!(
-                            "nonzero padding before section {i}"
-                        )));
-                    }
-                    let slice = &bytes[abs_start as usize..abs_end as usize];
-                    let actual = fnv1a_words(slice);
-                    if actual != hash {
-                        return Err(BundleError::HashMismatch {
-                            expected: hash,
-                            actual,
-                        });
-                    }
-                    sections[i] = (abs_start as usize, len as usize);
-                    cursor = end;
-                }
-                if payload_start as u64 + cursor != bytes.len() as u64 {
-                    return Err(BundleError::Malformed(format!(
-                        "sections end at {}, file has {} bytes",
-                        payload_start as u64 + cursor,
-                        bytes.len()
-                    )));
-                }
-                Ok(LoadedBundle {
-                    bytes,
-                    schema: version,
-                    content_hash: declared,
-                    sections,
-                    legacy: None,
-                })
-            }
-            found => Err(BundleError::UnsupportedVersion { found }),
+        let table_bytes = r.take(SECTION_IDS.len() * ENTRY_BYTES, "section table")?;
+        let actual = fnv1a(table_bytes);
+        if actual != declared {
+            return Err(BundleError::HashMismatch {
+                expected: declared,
+                actual,
+            });
         }
-    }
-
-    /// The bundle's schema version (1, 2, or 3).
-    pub fn schema_version(&self) -> u32 {
-        self.schema
+        if bytes.len() < PAYLOAD_START {
+            return Err(BundleError::Truncated(format!(
+                "payload starts at {PAYLOAD_START}, file has {} bytes",
+                bytes.len()
+            )));
+        }
+        let mut t = Reader::new(table_bytes);
+        let mut sections = [(0usize, 0usize); 7];
+        let mut cursor = 0u64;
+        for (i, &want) in SECTION_IDS.iter().enumerate() {
+            let id = t.u32("section id")?;
+            let reserved = t.u32("section reserved")?;
+            let offset = t.u64("section offset")?;
+            let len = t.u64("section length")?;
+            let hash = t.u64("section hash")?;
+            if id != want {
+                return Err(BundleError::Malformed(format!(
+                    "section {i} has id {id}, expected {want}"
+                )));
+            }
+            if reserved != 0 {
+                return Err(BundleError::Malformed(format!(
+                    "section {i} has nonzero reserved field {reserved}"
+                )));
+            }
+            let aligned = cursor
+                .checked_add(7)
+                .ok_or_else(|| BundleError::Malformed("section extent overflows".to_owned()))?
+                & !7;
+            if offset != aligned {
+                return Err(BundleError::Malformed(format!(
+                    "section {i} starts at {offset}, expected {aligned}"
+                )));
+            }
+            let end = offset
+                .checked_add(len)
+                .ok_or_else(|| BundleError::Malformed("section extent overflows".to_owned()))?;
+            let abs_start = PAYLOAD_START as u64 + offset;
+            let abs_end = PAYLOAD_START as u64 + end;
+            if abs_end > bytes.len() as u64 {
+                return Err(BundleError::Truncated(format!(
+                    "section {i} extends to {abs_end}, file has {} bytes",
+                    bytes.len()
+                )));
+            }
+            // Inter-section padding is zeros by construction.
+            let pad = &bytes[(PAYLOAD_START as u64 + cursor) as usize..abs_start as usize];
+            if pad.iter().any(|&b| b != 0) {
+                return Err(BundleError::Malformed(format!(
+                    "nonzero padding before section {i}"
+                )));
+            }
+            let slice = &bytes[abs_start as usize..abs_end as usize];
+            let actual = fnv1a_words(slice);
+            if actual != hash {
+                return Err(BundleError::HashMismatch {
+                    expected: hash,
+                    actual,
+                });
+            }
+            sections[i] = (abs_start as usize, len as usize);
+            cursor = end;
+        }
+        if PAYLOAD_START as u64 + cursor != bytes.len() as u64 {
+            return Err(BundleError::Malformed(format!(
+                "sections end at {}, file has {} bytes",
+                PAYLOAD_START as u64 + cursor,
+                bytes.len()
+            )));
+        }
+        Ok(LoadedBundle {
+            bytes,
+            content_hash: declared,
+            sections,
+        })
     }
 
     /// The verified content hash the header declares.
@@ -1459,40 +1166,30 @@ impl LoadedBundle {
         Ok(parts)
     }
 
-    /// Assembles a serving extractor. For v2 this is the zero-copy
-    /// path: the lexicon, CRF feature index, and veto blocklist all
-    /// borrow this bundle's bytes.
+    /// Assembles a serving extractor: the lexicon, CRF feature index,
+    /// and veto blocklist all borrow this bundle's bytes.
     pub fn extractor(&self) -> Result<FrozenExtractor, BundleError> {
-        if let Some(model) = &self.legacy {
-            return model.extractor().map_err(BundleError::Malformed);
-        }
         let (language, use_veto, max_value_chars, _config) = decode_meta(self.section(0))?;
-        let attrs = decode_attrs(self.section(1))?;
         let lexicon = Lexicon::from_fst(self.section_fst(2, "lexicon automaton")?);
-        let backend = self
-            .tagger_parts()?
-            .into_backend()
-            .map_err(BundleError::Malformed)?;
-        let veto = Blocklist::Fst(self.section_fst(4, "veto automaton")?);
-        let semantic = decode_semantic_section(self.section(5))?;
-        Ok(assemble_extractor(
-            language,
-            lexicon,
-            attrs,
-            backend,
+        Ok(FrozenExtractor {
+            tokenizer: language.tokenizer(&lexicon),
+            pos_tagger: LexiconPosTagger::new(lexicon),
+            splitter: SentenceSplitter::new(),
+            space: LabelSpace::new(decode_attrs(self.section(1))?),
+            backend: self
+                .tagger_parts()?
+                .into_backend()
+                .map_err(BundleError::Malformed)?,
             use_veto,
             max_value_chars,
-            veto,
-            semantic,
-        ))
+            veto_blocklist: self.section_fst(4, "veto automaton")?,
+            semantic: decode_semantic_section(self.section(5))?,
+        })
     }
 
-    /// Materializes the full [`FrozenModel`] (v1 API parity; walks and
-    /// validates every section).
+    /// Materializes the full [`FrozenModel`] (walks and validates every
+    /// section).
     pub fn model(&self) -> Result<FrozenModel, BundleError> {
-        if let Some(model) = &self.legacy {
-            return Ok(model.clone());
-        }
         let (language, use_veto, max_value_chars, config) = decode_meta(self.section(0))?;
         let attrs = decode_attrs(self.section(1))?;
         let lexicon = Lexicon::from_fst(self.section_fst(2, "lexicon automaton")?);
@@ -1526,17 +1223,10 @@ impl LoadedBundle {
         })
     }
 
-    /// The freeze-time [`ReferenceStats`], when the bundle carries
-    /// them. `Ok(None)` for v1/v2 bundles (no reference section — the
-    /// quality monitor serves in "no-reference" mode) and for v3
-    /// bundles frozen without stats.
+    /// The freeze-time [`ReferenceStats`], or `Ok(None)` for a model
+    /// frozen without them (the quality monitor then serves in
+    /// "no-reference" mode).
     pub fn reference(&self) -> Result<Option<ReferenceStats>, BundleError> {
-        if let Some(model) = &self.legacy {
-            return Ok(model.reference.clone());
-        }
-        if self.schema < BUNDLE_SCHEMA_VERSION {
-            return Ok(None);
-        }
         decode_reference_section(self.section(6))
     }
 }
@@ -1544,8 +1234,7 @@ impl LoadedBundle {
 // ---------------------------------------------------------------------
 // Whole-bundle convenience API.
 
-/// Parses and validates bundle bytes (either schema) back into a
-/// [`FrozenModel`].
+/// Parses and validates bundle bytes back into a [`FrozenModel`].
 pub fn decode(bytes: &[u8]) -> Result<FrozenModel, BundleError> {
     LoadedBundle::from_bytes(bytes.to_vec())?.model()
 }
@@ -1553,55 +1242,25 @@ pub fn decode(bytes: &[u8]) -> Result<FrozenModel, BundleError> {
 /// The content hash a bundle's header declares (validating magic and
 /// version first). Cheap: does not decode or re-hash anything.
 pub fn declared_hash(bytes: &[u8]) -> Result<u64, BundleError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4, "magic").map_err(|_| BundleError::BadMagic)? != BUNDLE_MAGIC {
-        return Err(BundleError::BadMagic);
-    }
-    let version = r.u32("schema version")?;
-    if !matches!(
-        version,
-        BUNDLE_SCHEMA_V1 | BUNDLE_SCHEMA_V2 | BUNDLE_SCHEMA_VERSION
-    ) {
-        return Err(BundleError::UnsupportedVersion { found: version });
-    }
-    r.u64("content hash")
+    open_header(bytes)?.u64("content hash")
 }
 
 /// Writes `model` to `path`, refusing to overwrite an existing file
 /// unless `force` (the same create-new semantics as the CLI's trace
 /// outputs). Returns the bundle's content hash.
 pub fn write_bundle(model: &FrozenModel, path: &Path, force: bool) -> Result<u64, BundleError> {
-    write_bundle_bytes(&encode(model), path, force)
-}
-
-/// Writes already-encoded bundle bytes (either schema) with the same
-/// overwrite semantics as [`write_bundle`].
-pub fn write_bundle_bytes(bytes: &[u8], path: &Path, force: bool) -> Result<u64, BundleError> {
     use std::io::Write as _;
-    let hash = declared_hash(bytes)?;
+    let bytes = encode(model);
+    let hash = declared_hash(&bytes)?;
     if force {
-        std::fs::write(path, bytes).map_err(|e| BundleError::Io(e.to_string()))?;
+        std::fs::write(path, &bytes).map_err(|e| BundleError::Io(e.to_string()))?;
     } else {
         let mut f = pae_obs::reserve_output(path).map_err(BundleError::Io)?;
-        f.write_all(bytes)
+        f.write_all(&bytes)
             .and_then(|()| f.flush())
             .map_err(|e| BundleError::Io(e.to_string()))?;
     }
     Ok(hash)
-}
-
-/// Reads and validates a bundle from `path`.
-pub fn read_bundle(path: &Path) -> Result<FrozenModel, BundleError> {
-    read_bundle_with_hash(path).map(|(model, _)| model)
-}
-
-/// Reads and validates a bundle from `path`, also returning its
-/// declared (and verified) content hash so servers can report which
-/// exact bundle they loaded without re-reading the file.
-pub fn read_bundle_with_hash(path: &Path) -> Result<(FrozenModel, u64), BundleError> {
-    let loaded = LoadedBundle::open(path)?;
-    let model = loaded.model()?;
-    Ok((model, loaded.content_hash()))
 }
 
 #[cfg(test)]
@@ -1610,9 +1269,9 @@ mod tests {
     use crate::bootstrap::BootstrapPipeline;
     use crate::config::{PipelineConfig, TaggerKind};
     use crate::corpus::parse_corpus;
-    use pae_synth::{CategoryKind, Dataset, DatasetSpec};
+    use pae_synth::{CategoryKind, DatasetSpec};
 
-    fn frozen_fixture(kind: TaggerKind) -> (Dataset, FrozenModel) {
+    fn frozen_model(kind: TaggerKind) -> FrozenModel {
         let dataset = DatasetSpec::new(CategoryKind::VacuumCleaner, 42)
             .products(50)
             .generate();
@@ -1624,12 +1283,7 @@ mod tests {
         };
         cfg.crf.max_iters = 40;
         let outcome = BootstrapPipeline::new(cfg.clone()).run_on_corpus(&dataset, &corpus);
-        let model = FrozenModel::freeze(&dataset, &corpus, &outcome, &cfg).expect("freeze");
-        (dataset, model)
-    }
-
-    fn frozen_model(kind: TaggerKind) -> FrozenModel {
-        frozen_fixture(kind).1
+        FrozenModel::freeze(&dataset, &corpus, &outcome, &cfg).expect("freeze")
     }
 
     #[test]
@@ -1645,39 +1299,13 @@ mod tests {
         // The tabled content hash covers the section table.
         assert_eq!(
             declared_hash(&bytes).unwrap(),
-            fnv1a(&bytes[HEADER_BYTES..HEADER_BYTES + 7 * V2_ENTRY_BYTES])
+            fnv1a(&bytes[HEADER_BYTES..HEADER_BYTES + 7 * ENTRY_BYTES])
         );
         // Freeze always embeds reference stats, and they survive the
-        // round trip through the v3 section.
+        // round trip through the reference section.
         assert!(restored.reference.is_some());
-        let loaded = LoadedBundle::from_bytes(bytes).expect("load v3");
-        assert_eq!(loaded.schema_version(), BUNDLE_SCHEMA_VERSION);
+        let loaded = LoadedBundle::from_bytes(bytes).expect("load");
         assert_eq!(loaded.reference().expect("reference"), model.reference);
-    }
-
-    #[test]
-    fn v2_writer_drops_reference_and_loads_in_no_reference_mode() {
-        let model = frozen_model(TaggerKind::Crf);
-        assert!(model.reference.is_some(), "freeze computes reference stats");
-        let bytes = encode_v2(&model);
-        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 2);
-        let loaded = LoadedBundle::from_bytes(bytes.clone()).expect("load v2");
-        assert_eq!(loaded.schema_version(), BUNDLE_SCHEMA_V2);
-        // No reference section: None, not an empty/zeroed stats block.
-        assert_eq!(loaded.reference().expect("reference"), None);
-        let restored = loaded.model().expect("model");
-        assert_eq!(restored.reference, None);
-        let mut stripped = model.clone();
-        stripped.reference = None;
-        assert_eq!(restored, stripped);
-        // Re-encoding as v2 is byte-deterministic, and re-encoding the
-        // no-reference model as v3 stores an absent-flag section that
-        // still round-trips.
-        assert_eq!(encode_v2(&restored), bytes);
-        let v3 = encode(&restored);
-        let reloaded = LoadedBundle::from_bytes(v3).expect("load v3");
-        assert_eq!(reloaded.reference().expect("reference"), None);
-        assert_eq!(reloaded.model().expect("model"), stripped);
     }
 
     #[test]
@@ -1725,25 +1353,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_round_trips() {
-        let model = frozen_model(TaggerKind::Crf);
-        // v1 has no reference section, so the round trip compares
-        // against the model with its reference stats stripped.
-        let mut stripped = model.clone();
-        stripped.reference = None;
-        let bytes = encode_v1(&model);
-        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 1);
-        let restored = decode(&bytes).expect("decode v1");
-        assert_eq!(stripped, restored);
-        // v1 hash covers the payload after the 20-byte table entries.
-        assert_eq!(declared_hash(&bytes).unwrap(), fnv1a(&bytes[20 + 6 * 20..]));
-        let loaded = LoadedBundle::from_bytes(bytes).expect("load v1");
-        assert_eq!(loaded.schema_version(), BUNDLE_SCHEMA_V1);
-        assert_eq!(loaded.reference().expect("reference"), None);
-        assert_eq!(loaded.model().expect("model"), stripped);
-    }
-
-    #[test]
     fn ensemble_round_trips() {
         let model = frozen_model(TaggerKind::Ensemble);
         let bytes = encode(&model);
@@ -1752,21 +1361,69 @@ mod tests {
         assert!(matches!(restored.tagger, FrozenTagger::Ensemble { .. }));
     }
 
+    /// A crafted bundle can carry valid hashes (anyone can recompute
+    /// FNV-1a) over a CRF record that passes every structural check but
+    /// would fail at serve time: feature-automaton ids past the
+    /// parameter rows (the first page hitting one panics), a window
+    /// radius the extractor cannot pre-render, a label count whose
+    /// parameter arithmetic overflows. Loading must reject each one.
     #[test]
-    fn zero_copy_extractor_matches_rehydrated_model() {
-        let (dataset, model) = frozen_fixture(TaggerKind::Crf);
-        let loaded = LoadedBundle::from_bytes(encode(&model)).expect("load");
-        assert_eq!(loaded.schema_version(), BUNDLE_SCHEMA_VERSION);
-        let zero_copy = loaded.extractor().expect("zero-copy extractor");
-        let eager = model.extractor().expect("rehydrate");
-        for page in dataset.pages.iter().take(15) {
-            assert_eq!(
-                zero_copy.extract_page(page.id, &page.html),
-                eager.extract_page(page.id, &page.html),
-                "outputs diverge on page {}",
-                page.id
+    fn crafted_tagger_sections_are_rejected_at_load() {
+        let model = frozen_model(TaggerKind::Crf);
+        let FrozenTagger::Crf {
+            n_labels,
+            params,
+            feature_names,
+            window,
+            max_sentence_bucket,
+        } = &model.tagger
+        else {
+            panic!("expected a CRF model");
+        };
+        let crafted = |id_shift: u32, window: u64, n_labels: u64| {
+            let mut pairs: Vec<(&[u8], u32)> = feature_names
+                .iter()
+                .enumerate()
+                .map(|(id, name)| (name.as_bytes(), id as u32 + id_shift))
+                .collect();
+            pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            let arena = pae_fst::build_fst(&pairs, 0).expect("build");
+            let mut tagger = Vec::new();
+            for v in [0, n_labels, window, *max_sentence_bucket as u64] {
+                put_u64(&mut tagger, v);
+            }
+            put_u64(&mut tagger, params.len() as u64);
+            for p in params {
+                tagger.extend_from_slice(&p.to_le_bytes());
+            }
+            put_u64(&mut tagger, arena.len() as u64);
+            tagger.extend_from_slice(&arena);
+            pad8(&mut tagger);
+            let mut sections = sections(&model);
+            sections[3].1 = tagger;
+            LoadedBundle::from_bytes(assemble(&sections)).expect("hashes are valid")
+        };
+        let (window, n_labels) = (*window as u64, *n_labels as u64);
+        for (loaded, defect) in [
+            (crafted(1_000_000, window, n_labels), "out of range"),
+            (crafted(0, 1 << 40, n_labels), "window"),
+            (crafted(0, window, u64::MAX / 2), "parameter vector"),
+        ] {
+            let err = match loaded.extractor() {
+                Ok(_) => panic!("a crafted tagger ({defect}) was accepted"),
+                Err(e) => e,
+            };
+            assert!(
+                matches!(&err, BundleError::Malformed(m) if m.contains(defect)),
+                "{err}"
             );
+            assert!(matches!(loaded.model(), Err(BundleError::Malformed(_))));
         }
+        // The same hand-built record with nothing crafted loads.
+        assert_eq!(
+            crafted(0, window, n_labels).model().expect("control loads"),
+            model
+        );
     }
 
     #[test]
@@ -1804,13 +1461,8 @@ mod tests {
             Err(BundleError::HashMismatch { .. })
         ));
 
-        // Truncation anywhere must be an error (never a panic). Step by
-        // a prime so the loop samples many offsets without being slow.
-        let mut cut = 0;
-        while cut < bytes.len() {
-            assert!(decode(&bytes[..cut]).is_err(), "decode succeeded at {cut}");
-            cut += 131;
-        }
+        // Empty input (truncations are fuzzed over the committed
+        // fixture in tests/bundle_compat.rs).
         assert!(decode(&[]).is_err());
 
         // Trailing garbage after the last section → the sections no
@@ -1829,7 +1481,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let hash = write_bundle(&model, &path, false).expect("first write");
-        let restored = read_bundle(&path).expect("read");
+        let restored = LoadedBundle::open(&path)
+            .and_then(|b| b.model())
+            .expect("read");
         assert_eq!(model, restored);
         assert_eq!(declared_hash(&std::fs::read(&path).unwrap()).unwrap(), hash);
 

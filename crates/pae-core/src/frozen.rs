@@ -9,13 +9,18 @@
 //! `<attribute, value>` triples can be extracted from a single product
 //! page, without the corpus, deterministically.
 //!
-//! [`FrozenModel::freeze`] captures a finished [`BootstrapOutcome`];
-//! [`FrozenModel::extractor`] rehydrates it into a [`FrozenExtractor`]
-//! whose page pipeline mirrors [`parse_corpus_with`] exactly (title
-//! first, then split free text, tables excluded), so frozen extraction
-//! over a training page agrees with what the in-loop tagger saw.
+//! [`FrozenModel::freeze`] captures a finished [`BootstrapOutcome`].
 //! [`crate::bundle`] gives the frozen model a versioned, byte-stable
-//! on-disk form.
+//! on-disk form, and loading that form is the one way a
+//! [`FrozenExtractor`] is built ([`LoadedBundle::extractor`];
+//! [`FrozenModel::extractor`] encodes and loads in memory). The
+//! extractor's page pipeline mirrors [`parse_corpus_with`] exactly
+//! (title first, then split free text, tables excluded), so frozen
+//! extraction over a training page agrees with what the in-loop tagger
+//! saw.
+//!
+//! [`LoadedBundle::extractor`]: crate::bundle::LoadedBundle::extractor
+//! [`parse_corpus_with`]: crate::corpus::parse_corpus_with
 
 use pae_fst::Fst;
 use pae_html::{extract_text, parse, TextOptions};
@@ -23,6 +28,7 @@ use pae_synth::{Dataset, Language};
 use pae_text::{Lexicon, LexiconPosTagger, PosTag, Sentence, SentenceSplitter, Tokenizer};
 
 use crate::bootstrap::BootstrapOutcome;
+use crate::bundle::{encode, LoadedBundle};
 use crate::cleaning::veto::{per_triple_veto, unpopular_blocklist};
 use crate::cleaning::{freeze_semantic, SemanticFreeze};
 use crate::config::{PipelineConfig, TaggerKind};
@@ -132,7 +138,7 @@ pub struct FrozenModel {
     pub semantic: Option<SemanticFreeze>,
     /// Freeze-time extraction behavior over the training corpus, the
     /// baseline the serving quality monitor scores live traffic
-    /// against (`None` for models loaded from pre-v3 bundles).
+    /// against (`None` serves in "no-reference" mode).
     pub reference: Option<ReferenceStats>,
     /// Configuration echo for provenance.
     pub config: ConfigEcho,
@@ -182,53 +188,21 @@ impl FrozenModel {
             return Err(FreezeError::NoTrainingData);
         }
 
-        let freeze_crf = || {
-            let tagger = TrainedTagger::train_crf(&labeled, space.n_labels(), &config.crf);
-            match tagger {
-                TrainedTagger::Crf {
-                    model,
-                    extractor: _,
-                    index,
-                } => FrozenTagger::Crf {
-                    n_labels: model.n_labels,
-                    params: model.params,
-                    feature_names: (0..index.len() as u32)
-                        .map(|id| index.name_of(id).to_owned())
-                        .collect(),
-                    window: config.crf.window,
-                    max_sentence_bucket: 8,
-                },
-                TrainedTagger::Rnn { .. } => unreachable!("train_crf returned an RNN"),
-            }
-        };
-        let freeze_rnn = || {
-            let tagger = TrainedTagger::train_rnn(&labeled, space.n_labels(), &config.rnn);
-            match tagger {
-                TrainedTagger::Rnn { model } => FrozenTagger::Rnn {
-                    bytes: model.to_bytes(),
-                },
-                TrainedTagger::Crf { .. } => unreachable!("train_rnn returned a CRF"),
-            }
-        };
-        let (tagger, tagger_name) = match config.tagger {
-            TaggerKind::Crf => (freeze_crf(), "crf"),
-            TaggerKind::Rnn => (freeze_rnn(), "rnn"),
-            TaggerKind::Ensemble => (
-                FrozenTagger::Ensemble {
-                    crf: Box::new(freeze_crf()),
-                    rnn: Box::new(freeze_rnn()),
-                },
-                "ensemble",
-            ),
+        let n_labels = space.n_labels();
+        let crf = || Box::new(TrainedTagger::train_crf(&labeled, n_labels, &config.crf));
+        let rnn = || Box::new(TrainedTagger::train_rnn(&labeled, n_labels, &config.rnn));
+        let (backend, tagger_name) = match config.tagger {
+            TaggerKind::Crf => (ExtractBackend::One(crf()), "crf"),
+            TaggerKind::Rnn => (ExtractBackend::One(rnn()), "rnn"),
+            TaggerKind::Ensemble => (ExtractBackend::Ensemble(crf(), rnn()), "ensemble"),
         };
 
         // Rule 3's corpus statistics, baked in: decode the freeze corpus
         // with the serving tagger, pool with the accepted triples, and
         // record which pairs the popularity ranking rejects.
         let veto_blocklist = if config.use_veto {
-            let runtime = rehydrate_tagger(&tagger).expect("fresh frozen tagger rehydrates");
             let mut pool = final_triples.clone();
-            pool.extend(extract_with(&runtime, corpus, space));
+            pool.extend(extract_with(&backend, corpus, space));
             pool.sort_by(|a, b| {
                 (a.product, &a.attr, &a.value).cmp(&(b.product, &b.attr, &b.value))
             });
@@ -250,6 +224,13 @@ impl FrozenModel {
             None
         };
 
+        let tagger = match backend {
+            ExtractBackend::One(t) => freeze_tagger(*t),
+            ExtractBackend::Ensemble(crf, rnn) => FrozenTagger::Ensemble {
+                crf: Box::new(freeze_tagger(*crf)),
+                rnn: Box::new(freeze_tagger(*rnn)),
+            },
+        };
         let mut model = FrozenModel {
             language: dataset.language(),
             lexicon: dataset.lexicon.clone(),
@@ -270,39 +251,44 @@ impl FrozenModel {
         Ok(model)
     }
 
-    /// Rehydrates the frozen model into a ready-to-serve extractor.
+    /// Builds the extractor a server loading this model runs: encodes
+    /// the model as a bundle and loads it ([`LoadedBundle::extractor`]).
     ///
-    /// Fails (with a message naming the defect) when the frozen tagger
-    /// bytes are internally inconsistent — a bundle that passed hash
-    /// validation but was built by a future incompatible writer.
+    /// Fails (with a message naming the defect) when the model is
+    /// internally inconsistent, e.g. a CRF parameter vector that does
+    /// not match its feature and label counts.
     pub fn extractor(&self) -> Result<FrozenExtractor, String> {
-        let backend = rehydrate_tagger(&self.tagger)?;
-        Ok(assemble_extractor(
-            self.language,
-            self.lexicon.clone(),
-            self.attrs.clone(),
-            backend,
-            self.use_veto,
-            self.max_value_chars,
-            Blocklist::Sorted(self.veto_blocklist.clone()),
-            self.semantic.clone(),
-        ))
+        LoadedBundle::from_bytes(encode(self))
+            .and_then(|bundle| bundle.extractor())
+            .map_err(|e| e.to_string())
     }
 }
 
-/// The frozen rule-3 blocklist in serving form.
-#[derive(Debug, Clone)]
-pub(crate) enum Blocklist {
-    /// Sorted `(attr, value)` pairs (the freeze-time form), probed by
-    /// binary search.
-    Sorted(Vec<(String, String)>),
-    /// Zero-copy automaton over `attr ++ 0xFF ++ value` keys, borrowing
-    /// a loaded bundle's bytes. `0xFF` never occurs in UTF-8, so the
-    /// separator is unambiguous.
-    Fst(Fst),
+/// The serializable form of a freshly trained tagger.
+fn freeze_tagger(tagger: TrainedTagger) -> FrozenTagger {
+    match tagger {
+        TrainedTagger::Crf {
+            model,
+            extractor,
+            index,
+        } => FrozenTagger::Crf {
+            n_labels: model.n_labels,
+            params: model.params,
+            feature_names: (0..index.len() as u32)
+                .map(|id| index.name_of(id).to_owned())
+                .collect(),
+            window: extractor.templates.window,
+            max_sentence_bucket: extractor.templates.max_sentence_bucket,
+        },
+        TrainedTagger::Rnn { model } => FrozenTagger::Rnn {
+            bytes: model.to_bytes(),
+        },
+    }
 }
 
-/// The composite automaton key for a blocked `(attr, value)` pair.
+/// The composite automaton key for a blocked `(attr, value)` pair:
+/// `attr ++ 0xFF ++ value`. `0xFF` never occurs in UTF-8, so the
+/// separator is unambiguous.
 pub(crate) fn blocklist_key(attr: &str, value: &str) -> Vec<u8> {
     let mut key = Vec::with_capacity(attr.len() + value.len() + 1);
     key.extend_from_slice(attr.as_bytes());
@@ -311,88 +297,12 @@ pub(crate) fn blocklist_key(attr: &str, value: &str) -> Vec<u8> {
     key
 }
 
-impl Blocklist {
-    /// True when the pair was rejected by the freeze-time popularity
-    /// ranking.
-    pub(crate) fn contains(&self, attr: &str, value: &str) -> bool {
-        match self {
-            Blocklist::Sorted(list) => list
-                .binary_search_by(|(a, v)| (a.as_str(), v.as_str()).cmp(&(attr, value)))
-                .is_ok(),
-            Blocklist::Fst(fst) => fst.get(&blocklist_key(attr, value)).is_some(),
-        }
-    }
-}
-
-/// The serve-time tagger: one backend or the intersected pair.
+/// The extraction tagger: one backend or the intersected pair (what a
+/// loaded bundle serves, and what `freeze` decodes rule 3's corpus
+/// statistics with).
 pub(crate) enum ExtractBackend {
     One(Box<TrainedTagger>),
     Ensemble(Box<TrainedTagger>, Box<TrainedTagger>),
-}
-
-/// Assembles a CRF serving tagger from already-loaded parts. Used by
-/// both the in-memory rehydration path (interned feature index) and
-/// the zero-copy bundle loader (frozen automaton index).
-pub(crate) fn crf_tagger_from_parts(
-    n_labels: usize,
-    params: Vec<f64>,
-    index: pae_crf::FeatureIndex,
-    window: usize,
-    max_sentence_bucket: usize,
-) -> Result<TrainedTagger, String> {
-    let n_features = index.len();
-    let expected = pae_crf::CrfModel::param_len(n_features, n_labels);
-    if params.len() != expected {
-        return Err(format!(
-            "CRF parameter vector has {} entries, expected {expected} \
-             for {n_features} features x {n_labels} labels",
-            params.len()
-        ));
-    }
-    Ok(TrainedTagger::Crf {
-        model: pae_crf::CrfModel {
-            n_labels,
-            n_features,
-            params,
-        },
-        extractor: pae_crf::FeatureExtractor::new(pae_crf::FeatureTemplates {
-            window,
-            max_sentence_bucket,
-        }),
-        index,
-    })
-}
-
-fn rehydrate_one(frozen: &FrozenTagger) -> Result<TrainedTagger, String> {
-    match frozen {
-        FrozenTagger::Crf {
-            n_labels,
-            params,
-            feature_names,
-            window,
-            max_sentence_bucket,
-        } => crf_tagger_from_parts(
-            *n_labels,
-            params.clone(),
-            pae_crf::FeatureIndex::from_names(feature_names.iter().map(String::as_str)),
-            *window,
-            *max_sentence_bucket,
-        ),
-        FrozenTagger::Rnn { bytes } => Ok(TrainedTagger::Rnn {
-            model: pae_neural::BiLstmTagger::from_bytes(bytes)?,
-        }),
-        FrozenTagger::Ensemble { .. } => Err("nested ensemble".to_owned()),
-    }
-}
-
-fn rehydrate_tagger(frozen: &FrozenTagger) -> Result<ExtractBackend, String> {
-    match frozen {
-        FrozenTagger::Ensemble { crf, rnn } => Ok(ExtractBackend::Ensemble(
-            Box::new(rehydrate_one(crf)?),
-            Box::new(rehydrate_one(rnn)?),
-        )),
-        one => Ok(ExtractBackend::One(Box::new(rehydrate_one(one)?))),
-    }
 }
 
 /// Decodes one page's sentences into candidate triples (sorted,
@@ -466,7 +376,9 @@ fn decode_sentences_observed(
 /// count.
 fn compute_reference(model: &FrozenModel, dataset: &Dataset) -> ReferenceStats {
     let _span = pae_obs::span("freeze.reference");
-    let extractor = model.extractor().expect("fresh frozen tagger rehydrates");
+    let extractor = model
+        .extractor()
+        .expect("fresh frozen model encodes and loads");
     let mut builder = ReferenceBuilder::new(extractor.attrs(), &extractor.backend_names());
     let observed = pae_runtime::parallel_map(&dataset.pages, |_, page| {
         extractor.extract_page_observed(page.id, &page.html)
@@ -477,8 +389,8 @@ fn compute_reference(model: &FrozenModel, dataset: &Dataset) -> ReferenceStats {
     builder.finish()
 }
 
-/// Corpus-wide extraction with a rehydrated backend (freeze-time rule-3
-/// statistics).
+/// Corpus-wide extraction with freshly trained taggers (freeze-time
+/// rule-3 statistics).
 fn extract_with(backend: &ExtractBackend, corpus: &Corpus, space: &LabelSpace) -> Vec<Triple> {
     match backend {
         ExtractBackend::One(t) => extract_candidates(t, corpus, space),
@@ -507,46 +419,22 @@ fn intersect(a: Vec<Triple>, b: &[Triple]) -> Vec<Triple> {
     out
 }
 
-/// A rehydrated frozen model, ready to extract triples from product
+/// A loaded frozen model, ready to extract triples from product
 /// pages. Holds the warm tokenizer/lexicon/tagger state; immutable
 /// after construction, so one instance can serve concurrent requests
-/// behind an `Arc`.
+/// behind an `Arc`. Built only by [`LoadedBundle::extractor`].
 pub struct FrozenExtractor {
-    tokenizer: Box<dyn Tokenizer>,
-    pos_tagger: LexiconPosTagger,
-    splitter: SentenceSplitter,
-    space: LabelSpace,
-    backend: ExtractBackend,
-    use_veto: bool,
-    max_value_chars: usize,
-    veto_blocklist: Blocklist,
-    semantic: Option<SemanticFreeze>,
-}
-
-/// Assembles an extractor from already-loaded parts; the zero-copy
-/// bundle loader uses this to skip materializing a [`FrozenModel`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_extractor(
-    language: Language,
-    lexicon: Lexicon,
-    attrs: Vec<String>,
-    backend: ExtractBackend,
-    use_veto: bool,
-    max_value_chars: usize,
-    veto_blocklist: Blocklist,
-    semantic: Option<SemanticFreeze>,
-) -> FrozenExtractor {
-    FrozenExtractor {
-        tokenizer: language.tokenizer(&lexicon),
-        pos_tagger: LexiconPosTagger::new(lexicon),
-        splitter: SentenceSplitter::new(),
-        space: LabelSpace::new(attrs),
-        backend,
-        use_veto,
-        max_value_chars,
-        veto_blocklist,
-        semantic,
-    }
+    pub(crate) tokenizer: Box<dyn Tokenizer>,
+    pub(crate) pos_tagger: LexiconPosTagger,
+    pub(crate) splitter: SentenceSplitter,
+    pub(crate) space: LabelSpace,
+    pub(crate) backend: ExtractBackend,
+    pub(crate) use_veto: bool,
+    pub(crate) max_value_chars: usize,
+    /// Veto rule 3 frozen: an automaton over [`blocklist_key`]s,
+    /// borrowing the bundle's bytes.
+    pub(crate) veto_blocklist: Fst,
+    pub(crate) semantic: Option<SemanticFreeze>,
 }
 
 impl FrozenExtractor {
@@ -699,7 +587,11 @@ impl FrozenExtractor {
             if per_triple_veto(&t.value, self.max_value_chars).is_some() {
                 return false;
             }
-            if self.veto_blocklist.contains(&t.attr, &t.value) {
+            if self
+                .veto_blocklist
+                .get(&blocklist_key(&t.attr, &t.value))
+                .is_some()
+            {
                 return false;
             }
         }
@@ -742,7 +634,7 @@ mod tests {
         let (dataset, _, model) = frozen_fixture();
         assert!(!model.attrs.is_empty());
         assert_eq!(model.config.tagger, "crf");
-        let extractor = model.extractor().expect("rehydrate");
+        let extractor = model.extractor().expect("extractor");
         let mut n_total = 0usize;
         for page in dataset.pages.iter().take(20) {
             let triples = extractor.extract_page(page.id, &page.html);
@@ -845,7 +737,7 @@ mod tests {
             cfg.tagger = kind;
             let outcome = BootstrapPipeline::new(cfg.clone()).run_on_corpus(&dataset, &corpus);
             let model = FrozenModel::freeze(&dataset, &corpus, &outcome, &cfg).expect("freeze");
-            let extractor = model.extractor().expect("rehydrate");
+            let extractor = model.extractor().expect("extractor");
             // Must at least run without error on a page.
             let _ = extractor.extract_page(dataset.pages[0].id, &dataset.pages[0].html);
         }

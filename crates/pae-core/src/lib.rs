@@ -45,10 +45,7 @@ pub mod trainset;
 pub mod types;
 
 pub use bootstrap::{BootstrapOutcome, BootstrapPipeline, CandidateScores, IterationSnapshot};
-pub use bundle::{
-    read_bundle, read_bundle_with_hash, write_bundle, BundleError, LoadedBundle, BUNDLE_MAGIC,
-    BUNDLE_SCHEMA_V1, BUNDLE_SCHEMA_V2, BUNDLE_SCHEMA_VERSION,
-};
+pub use bundle::{write_bundle, BundleError, LoadedBundle, BUNDLE_MAGIC, BUNDLE_SCHEMA_VERSION};
 pub use config::{PipelineConfig, TaggerKind};
 pub use corpus::{parse_corpus, Corpus, ProductText};
 pub use corrections::Corrections;

@@ -77,8 +77,8 @@ pub struct BackendReference {
 }
 
 /// What extraction looked like over the training corpus at freeze
-/// time. Embedded in schema-v3 bundles as an optional, hash-checked
-/// section; the serving quality monitor scores live windows against it.
+/// time. Embedded in bundles as an optional, hash-checked section; the
+/// serving quality monitor scores live windows against it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReferenceStats {
     /// Pages observed.

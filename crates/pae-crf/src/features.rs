@@ -51,13 +51,18 @@ enum IndexRepr {
         map: HashMap<String, FeatId>,
         names: Vec<String>,
     },
-    Frozen { fst: Fst },
+    Frozen {
+        fst: Fst,
+    },
 }
 
 impl Default for FeatureIndex {
     fn default() -> Self {
         FeatureIndex {
-            repr: IndexRepr::Interned { map: HashMap::new(), names: Vec::new() },
+            repr: IndexRepr::Interned {
+                map: HashMap::new(),
+                names: Vec::new(),
+            },
         }
     }
 }
@@ -81,7 +86,9 @@ impl FeatureIndex {
     /// index. Ids must be dense (`0..n_keys`), as produced by
     /// serializing an interned index.
     pub fn from_fst(fst: Fst) -> Self {
-        FeatureIndex { repr: IndexRepr::Frozen { fst } }
+        FeatureIndex {
+            repr: IndexRepr::Frozen { fst },
+        }
     }
 
     /// Interns `feature`, assigning a fresh id when unseen.

@@ -46,7 +46,4 @@ pub use data::{CsrInstances, CsrSeq, FeatureSeq, Instance};
 pub use features::{ExtractScratch, FeatureExtractor, FeatureIndex, FeatureTemplates};
 pub use inference::{marginals_into, viterbi_with_confidence, MargScratch};
 pub use model::{CrfModel, ParamsView};
-pub use train::{
-    dense_grad_enabled, train, train_with_stats, with_dense_grad, TrainConfig, TrainEngine,
-    TrainStats,
-};
+pub use train::{train, train_with_stats, TrainConfig, TrainEngine, TrainStats};

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::data::{CsrInstances, CsrSeq, FeatId, Instance};
-use crate::inference::{forward_into, marginals, marginals_into, MargScratch};
+use crate::inference::{forward_into, marginals, MargScratch};
 use crate::lbfgs::{minimize, LbfgsConfig, Objective};
 use crate::model::{CrfModel, ParamsView};
 use crate::owlqn::minimize_l1;
@@ -56,40 +56,6 @@ impl Default for TrainConfig {
 /// thread count) so the partition — and therefore the floating-point
 /// summation order — is identical at any `PAE_JOBS` value.
 const GRAD_CHUNKS: usize = 16;
-
-thread_local! {
-    /// Per-thread override installed by [`with_dense_grad`].
-    static DENSE_GRAD_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Whether new [`TrainEngine`]s use the legacy dense gradient fold:
-/// the thread-local override from [`with_dense_grad`] when set, else
-/// the `PAE_CRF_DENSE_GRAD` environment variable (`1` or `true`).
-pub fn dense_grad_enabled() -> bool {
-    if let Some(on) = DENSE_GRAD_OVERRIDE.with(Cell::get) {
-        return on;
-    }
-    matches!(
-        std::env::var("PAE_CRF_DENSE_GRAD").as_deref(),
-        Ok("1") | Ok("true")
-    )
-}
-
-/// Runs `f` with the legacy dense gradient fold forced on (or off) for
-/// engines constructed on this thread. This is the A/B hook the
-/// determinism suite uses to prove the sparse fold is byte-identical;
-/// the dense path is scheduled for removal after one release.
-pub fn with_dense_grad<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0;
-            DENSE_GRAD_OVERRIDE.with(|c| c.set(prev));
-        }
-    }
-    let _guard = Restore(DENSE_GRAD_OVERRIDE.with(|c| c.replace(Some(on))));
-    f()
-}
 
 /// Computes the total negative log-likelihood of `instances` under the
 /// parameters in `model`, filling `grad` (which must be zeroed by the
@@ -170,29 +136,10 @@ fn instance_nll_and_grad(model: &CrfModel, inst: &Instance, grad: &mut [f64]) ->
     nll
 }
 
-/// Flat-layout twin of [`instance_nll_and_grad`]: same arithmetic in
-/// the same order, over a packed sequence and a reusable
-/// forward-backward workspace.
-fn instance_nll_and_grad_flat(
-    view: ParamsView<'_>,
-    seq: &CsrSeq<'_>,
-    marg: &mut MargScratch,
-    grad: &mut [f64],
-) -> f64 {
-    if seq.is_empty() {
-        return 0.0;
-    }
-    marginals_into(view, seq, marg);
-    let gold_score = view.sequence_score(seq, seq.labels);
-    let nll = marg.log_z - gold_score;
-    accumulate_instance_grad(view, seq, marg, grad);
-    nll
-}
-
-/// The gradient-accumulation half of [`instance_nll_and_grad_flat`]:
-/// empirical counts subtracted, expected counts added, from marginals
-/// already present in `marg`. Split out so the value/completion
-/// protocol of [`TrainEngine`] can run it against marginals finished
+/// Flat-layout gradient accumulation (same arithmetic in the same
+/// order as [`instance_nll_and_grad`]): empirical counts subtracted,
+/// expected counts added, from marginals already present in `marg` —
+/// which the value/completion protocol of [`TrainEngine`] finishes
 /// from a cached forward pass.
 fn accumulate_instance_grad(
     view: ParamsView<'_>,
@@ -273,10 +220,10 @@ struct ChunkScratch {
 ///    transition/start/end suffix);
 /// 2. fold partials into `grad` sequentially in chunk order, visiting
 ///    only touched rows — the first chunk to touch a row assigns, the
-///    rest add, which is bitwise-identical to the dense
-///    `0.0 + p₀ + p₁ + …` fold because partials are never `-0.0`
-///    (they start at `+0.0` and accumulate sums that cannot round to
-///    a negative zero).
+///    rest add, which is bitwise-identical to the reference
+///    [`nll_and_grad`]'s dense `0.0 + p₀ + p₁ + …` fold because
+///    partials are never `-0.0` (they start at `+0.0` and accumulate
+///    sums that cannot round to a negative zero).
 ///
 /// Gradient coordinates for feature rows no chunk touches are zeroed
 /// once (first call) and never written again; callers layering
@@ -295,25 +242,12 @@ pub struct TrainEngine {
     /// touch the row.
     chunk_rows: Vec<Vec<(FeatId, bool)>>,
     scratch: pae_runtime::Scratch<ChunkScratch>,
-    dense: bool,
     zeroed_once: AtomicBool,
 }
 
 impl TrainEngine {
-    /// Builds an engine over `instances`, honoring the dense-fold
-    /// toggle ([`dense_grad_enabled`]) read on the calling thread.
+    /// Builds an engine over `instances`.
     pub fn new(instances: &[Instance], n_features: usize, n_labels: usize) -> Self {
-        Self::with_dense_fold(instances, n_features, n_labels, dense_grad_enabled())
-    }
-
-    /// Builds an engine with an explicit fold mode (`dense = true`
-    /// reproduces the legacy per-call-allocating dense fold).
-    pub fn with_dense_fold(
-        instances: &[Instance],
-        n_features: usize,
-        n_labels: usize,
-        dense: bool,
-    ) -> Self {
         let csr = CsrInstances::pack(instances);
         let chunks = pae_runtime::chunk_ranges(csr.len(), GRAD_CHUNKS);
         let mut chunk_rows = Vec::with_capacity(chunks.len());
@@ -348,7 +282,6 @@ impl TrainEngine {
             chunks,
             chunk_rows,
             scratch,
-            dense,
             zeroed_once: AtomicBool::new(false),
         }
     }
@@ -358,26 +291,17 @@ impl TrainEngine {
         self.dim
     }
 
-    /// Whether this engine runs the legacy dense fold.
-    pub fn is_dense(&self) -> bool {
-        self.dense
-    }
-
     /// NLL of the training set at `params`, writing the gradient into
     /// `grad` (fully managed by the engine — callers need not zero it).
-    /// Regularization is *not* included. In sparse mode this composes
-    /// [`Self::nll_value`] + [`Self::complete_grad`], the engine's
-    /// only gradient implementation.
+    /// Regularization is *not* included. Composes [`Self::nll_value`] +
+    /// [`Self::complete_grad`], the engine's only gradient
+    /// implementation.
     pub fn nll_and_grad(&self, params: &[f64], grad: &mut [f64]) -> f64 {
         debug_assert_eq!(params.len(), self.dim);
         debug_assert_eq!(grad.len(), self.dim);
         if self.chunks.is_empty() {
             grad.fill(0.0);
             return 0.0;
-        }
-        if self.dense {
-            let view = ParamsView::new(params, self.n_features, self.n_labels);
-            return self.nll_and_grad_dense(view, grad);
         }
         let nll = self.nll_value(params);
         self.complete_grad(params, grad);
@@ -390,10 +314,9 @@ impl TrainEngine {
     /// at the same `params` finishes backward + accumulation without
     /// re-running forward. This is what makes rejected line-search
     /// trials cheap: their gradients were always discarded, and now
-    /// their backward passes are never run. Sparse mode only.
+    /// their backward passes are never run.
     pub fn nll_value(&self, params: &[f64]) -> f64 {
         debug_assert_eq!(params.len(), self.dim);
-        debug_assert!(!self.dense, "nll_value is the sparse-mode protocol");
         let view = ParamsView::new(params, self.n_features, self.n_labels);
         if self.chunks.is_empty() {
             return 0.0;
@@ -451,11 +374,9 @@ impl TrainEngine {
     /// backward + marginals from the cached forward quantities, then
     /// the sparse accumulation/fold. `params` must be the vector the
     /// value was computed at, or the marginals are inconsistent.
-    /// Sparse mode only.
     pub fn complete_grad(&self, params: &[f64], grad: &mut [f64]) {
         debug_assert_eq!(params.len(), self.dim);
         debug_assert_eq!(grad.len(), self.dim);
-        debug_assert!(!self.dense, "complete_grad is the sparse-mode protocol");
         let view = ParamsView::new(params, self.n_features, self.n_labels);
         if self.chunks.is_empty() {
             grad.fill(0.0);
@@ -541,33 +462,6 @@ impl TrainEngine {
             });
         }
     }
-
-    /// Legacy dense fold: fresh zero-filled partials per call, every
-    /// coordinate folded. Kept (for one release) as the A/B baseline
-    /// the determinism suite compares the sparse fold against.
-    fn nll_and_grad_dense(&self, view: ParamsView<'_>, grad: &mut [f64]) -> f64 {
-        grad.fill(0.0);
-        let dim = self.dim;
-        let (csr, scratch) = (&self.csr, &self.scratch);
-        let partials = pae_runtime::parallel_map(&self.chunks, |ci, range| {
-            let mut part = vec![0.0; dim];
-            let mut nll = 0.0;
-            scratch.with(ci, ChunkScratch::default, |sc| {
-                for s in range.clone() {
-                    nll += instance_nll_and_grad_flat(view, &csr.seq(s), &mut sc.marg, &mut part);
-                }
-            });
-            (nll, part)
-        });
-        let mut nll = 0.0;
-        for (part_nll, part_grad) in partials {
-            nll += part_nll;
-            for (g, p) in grad.iter_mut().zip(&part_grad) {
-                *g += p;
-            }
-        }
-        nll
-    }
 }
 
 /// Wall-clock accounting of a training run (telemetry only — never
@@ -605,8 +499,7 @@ pub fn train(
 
 /// The smooth CRF training objective (`NLL + 0.5·l2·‖w‖²`) as a
 /// split-protocol [`Objective`]: `value` runs the forward-only
-/// evaluation (sparse mode) or the full legacy evaluation with the
-/// gradient cached (dense mode); `grad` completes / replays it.
+/// evaluation; `grad` completes it.
 /// `grad_calls` counts objective evaluations (`value` calls);
 /// `grad_ns` accumulates wall time across both halves.
 struct CrfObjective<'a> {
@@ -614,21 +507,12 @@ struct CrfObjective<'a> {
     l2: f64,
     grad_ns: &'a Cell<u64>,
     grad_calls: &'a Cell<usize>,
-    /// Dense mode only: the gradient computed during `value`.
-    dense_grad: Vec<f64>,
 }
 
 impl Objective for CrfObjective<'_> {
     fn value(&mut self, x: &[f64]) -> f64 {
         let t0 = Instant::now();
-        let mut value = if self.engine.is_dense() {
-            if self.dense_grad.len() != x.len() {
-                self.dense_grad = vec![0.0; x.len()];
-            }
-            self.engine.nll_and_grad(x, &mut self.dense_grad)
-        } else {
-            self.engine.nll_value(x)
-        };
+        let mut value = self.engine.nll_value(x);
         if self.l2 > 0.0 {
             value += 0.5 * self.l2 * x.iter().map(|w| w * w).sum::<f64>();
         }
@@ -640,11 +524,7 @@ impl Objective for CrfObjective<'_> {
 
     fn grad(&mut self, x: &[f64], grad: &mut [f64]) {
         let t0 = Instant::now();
-        if self.engine.is_dense() {
-            grad.copy_from_slice(&self.dense_grad);
-        } else {
-            self.engine.complete_grad(x, grad);
-        }
+        self.engine.complete_grad(x, grad);
         if self.l2 > 0.0 {
             for (g, &w) in grad.iter_mut().zip(x) {
                 *g += self.l2 * w;
@@ -682,15 +562,12 @@ pub fn train_with_stats(
 
     // Smooth objective: NLL + 0.5·l2·‖w‖², split into value /
     // gradient-completion so rejected line-search trials never pay for
-    // backward passes or accumulation (sparse mode). The dense A/B
-    // path keeps the legacy shape: everything computed per value call,
-    // the gradient replayed from cache.
+    // backward passes or accumulation.
     let objective = CrfObjective {
         engine: &engine,
         l2,
         grad_ns: &grad_ns,
         grad_calls: &grad_calls,
-        dense_grad: Vec::new(),
     };
 
     let x0 = vec![0.0; dim];
@@ -916,25 +793,19 @@ mod tests {
         let mut reference = vec![0.0; dim];
         let ref_nll = nll_and_grad(&model, &instances, &mut reference);
 
-        for dense in [false, true] {
-            let engine = TrainEngine::with_dense_fold(&instances, n_features, n_labels, dense);
-            let mut grad = vec![f64::NAN; dim]; // engine must fully manage grad
-                                                // Two calls: the second exercises the steady-state sparse
-                                                // zeroing over retained scratch.
-            for call in 0..2 {
-                let nll = engine.nll_and_grad(&model.params, &mut grad);
+        let engine = TrainEngine::new(&instances, n_features, n_labels);
+        let mut grad = vec![f64::NAN; dim]; // engine must fully manage grad
+                                            // Two calls: the second exercises the steady-state sparse
+                                            // zeroing over retained scratch.
+        for call in 0..2 {
+            let nll = engine.nll_and_grad(&model.params, &mut grad);
+            assert_eq!(nll.to_bits(), ref_nll.to_bits(), "nll (call {call})");
+            for i in 0..dim {
                 assert_eq!(
-                    nll.to_bits(),
-                    ref_nll.to_bits(),
-                    "nll (dense={dense}, call {call})"
+                    grad[i].to_bits(),
+                    reference[i].to_bits(),
+                    "grad[{i}] (call {call})"
                 );
-                for i in 0..dim {
-                    assert_eq!(
-                        grad[i].to_bits(),
-                        reference[i].to_bits(),
-                        "grad[{i}] (dense={dense}, call {call})"
-                    );
-                }
             }
         }
     }
@@ -970,20 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_toggle_is_thread_local_and_scoped() {
-        assert!(!dense_grad_enabled());
-        with_dense_grad(true, || {
-            assert!(dense_grad_enabled());
-            let engine = TrainEngine::new(&toy_instances(), 2, 2);
-            assert!(engine.is_dense());
-            with_dense_grad(false, || assert!(!dense_grad_enabled()));
-            assert!(dense_grad_enabled());
-        });
-        assert!(!dense_grad_enabled());
-        assert!(!TrainEngine::new(&toy_instances(), 2, 2).is_dense());
-    }
-
-    #[test]
     fn train_with_stats_reports_substage_times() {
         let (model, stats) = train_with_stats(&toy_instances(), 2, 2, &TrainConfig::default());
         assert_eq!(model.viterbi(&[vec![0]]), vec![1]);
@@ -993,18 +850,6 @@ mod tests {
         // account for more than the total gradient time plus overhead;
         // sanity-check it is populated and bounded.
         assert!(stats.line_search_time <= stats.grad_time + Duration::from_millis(100));
-    }
-
-    #[test]
-    fn sparse_and_dense_training_produce_identical_models() {
-        let instances = toy_instances();
-        let cfg = TrainConfig::default();
-        let sparse = train(&instances, 2, 2, &cfg);
-        let dense = with_dense_grad(true, || train(&instances, 2, 2, &cfg));
-        assert_eq!(sparse.params.len(), dense.params.len());
-        for (i, (a, b)) in sparse.params.iter().zip(&dense.params).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "param {i}");
-        }
     }
 
     #[test]

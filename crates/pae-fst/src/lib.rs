@@ -103,7 +103,10 @@ impl fmt::Display for FstError {
                 write!(f, "unsupported arena version {found} (want {FST_VERSION})")
             }
             FstError::Truncated { expected, found } => {
-                write!(f, "truncated arena: header declares {expected} bytes, got {found}")
+                write!(
+                    f,
+                    "truncated arena: header declares {expected} bytes, got {found}"
+                )
             }
         }
     }
@@ -147,7 +150,10 @@ impl FstBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         FstBuilder {
-            nodes: vec![TrieNode { value: NO_VALUE, children: Vec::new() }],
+            nodes: vec![TrieNode {
+                value: NO_VALUE,
+                children: Vec::new(),
+            }],
             last_key: Vec::new(),
             n_keys: 0,
             max_key_bytes: 0,
@@ -185,7 +191,10 @@ impl FstBuilder {
                 Some(&(last_b, idx)) if last_b == b => idx,
                 _ => {
                     let idx = self.nodes.len();
-                    self.nodes.push(TrieNode { value: NO_VALUE, children: Vec::new() });
+                    self.nodes.push(TrieNode {
+                        value: NO_VALUE,
+                        children: Vec::new(),
+                    });
                     self.nodes[cur].children.push((b, idx));
                     idx
                 }
@@ -299,7 +308,10 @@ impl<'a> FstView<'a> {
     /// Opens a view over `data`, validating the header and length.
     pub fn new(data: &'a [u8]) -> Result<Self, FstError> {
         if data.len() < FST_HEADER_BYTES {
-            return Err(FstError::Truncated { expected: FST_HEADER_BYTES, found: data.len() });
+            return Err(FstError::Truncated {
+                expected: FST_HEADER_BYTES,
+                found: data.len(),
+            });
         }
         if data[..4] != FST_MAGIC {
             return Err(FstError::BadMagic);
@@ -311,7 +323,10 @@ impl<'a> FstView<'a> {
         let n_states = read_u32(data, 8) as usize;
         let expected = FST_HEADER_BYTES + 12 * n_states;
         if data.len() < expected {
-            return Err(FstError::Truncated { expected, found: data.len() });
+            return Err(FstError::Truncated {
+                expected,
+                found: data.len(),
+            });
         }
         Ok(FstView { data, n_states })
     }
@@ -406,16 +421,35 @@ impl<'a> FstView<'a> {
         best
     }
 
+    /// The largest value any state stores (`None` when no state
+    /// accepts): one linear pass over the value array, so a loader can
+    /// bound every value a lookup could return without walking the
+    /// automaton.
+    pub fn max_value(&self) -> Option<u32> {
+        (0..self.n_states)
+            .map(|s| self.value_at(s))
+            .filter(|&v| v != NO_VALUE)
+            .max()
+    }
+
     /// Iterates all `(key, value)` pairs in increasing key order.
     ///
     /// This walks the automaton scanning all 256 candidate bytes per
     /// state, so it is strictly a cold-path operation (serialization,
     /// equality, re-encoding) — lookups never pay for it.
     pub fn iter(&self) -> FstIter<'a> {
-        let root_value = if self.n_states > 0 { self.value_at(0) } else { NO_VALUE };
+        let root_value = if self.n_states > 0 {
+            self.value_at(0)
+        } else {
+            NO_VALUE
+        };
         FstIter {
             view: *self,
-            stack: if self.n_states > 0 { vec![(0, 0)] } else { Vec::new() },
+            stack: if self.n_states > 0 {
+                vec![(0, 0)]
+            } else {
+                Vec::new()
+            },
             key: Vec::new(),
             pending_root: root_value != NO_VALUE,
         }
@@ -504,9 +538,10 @@ impl Fst {
     /// Borrows `bytes[start..start + len]` of a shared buffer as an
     /// arena, without copying.
     pub fn from_shared(bytes: Arc<[u8]>, start: usize, len: usize) -> Result<Self, FstError> {
-        let slice = bytes
-            .get(start..start + len)
-            .ok_or(FstError::Truncated { expected: start + len, found: bytes.len() })?;
+        let slice = bytes.get(start..start + len).ok_or(FstError::Truncated {
+            expected: start + len,
+            found: bytes.len(),
+        })?;
         FstView::new(slice)?;
         Ok(Fst { bytes, start, len })
     }
@@ -664,8 +699,7 @@ mod tests {
             .iter()
             .map(|(k, v)| (String::from_utf8(k).unwrap(), v))
             .collect();
-        let want: Vec<(String, u32)> =
-            pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+        let want: Vec<(String, u32)> = pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         assert_eq!(got, want);
     }
 
@@ -705,17 +739,32 @@ mod tests {
 
     #[test]
     fn header_validation_rejects_garbage() {
-        assert_eq!(Fst::from_vec(vec![]).unwrap_err(), FstError::Truncated { expected: 32, found: 0 });
-        assert_eq!(Fst::from_vec(vec![0u8; 40]).unwrap_err(), FstError::BadMagic);
+        assert_eq!(
+            Fst::from_vec(vec![]).unwrap_err(),
+            FstError::Truncated {
+                expected: 32,
+                found: 0
+            }
+        );
+        assert_eq!(
+            Fst::from_vec(vec![0u8; 40]).unwrap_err(),
+            FstError::BadMagic
+        );
 
         let good = fst_of(&[("ab", 1)]);
         let mut bad = good.as_bytes().to_vec();
         bad[4] = 99; // version
-        assert_eq!(Fst::from_vec(bad).unwrap_err(), FstError::UnsupportedVersion { found: 99 });
+        assert_eq!(
+            Fst::from_vec(bad).unwrap_err(),
+            FstError::UnsupportedVersion { found: 99 }
+        );
 
         let mut short = good.as_bytes().to_vec();
         short.truncate(short.len() - 1);
-        assert!(matches!(Fst::from_vec(short).unwrap_err(), FstError::Truncated { .. }));
+        assert!(matches!(
+            Fst::from_vec(short).unwrap_err(),
+            FstError::Truncated { .. }
+        ));
     }
 
     #[test]
@@ -735,8 +784,7 @@ mod tests {
 
     #[test]
     fn dense_byte_alphabet() {
-        let keys: Vec<(Vec<u8>, u32)> =
-            (0u32..=255).map(|b| (vec![b as u8, b as u8], b)).collect();
+        let keys: Vec<(Vec<u8>, u32)> = (0u32..=255).map(|b| (vec![b as u8, b as u8], b)).collect();
         let pairs: Vec<(&[u8], u32)> = keys.iter().map(|(k, v)| (k.as_slice(), *v)).collect();
         let f = Fst::build(&pairs, 0).unwrap();
         for b in 0u8..=255 {

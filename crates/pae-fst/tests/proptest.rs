@@ -18,7 +18,7 @@ fn reference_longest_match(
         if !k.is_empty()
             && bytes.len() >= pos + k.len()
             && &bytes[pos..pos + k.len()] == k.as_slice()
-            && best.map_or(true, |(len, _)| k.len() > len)
+            && best.is_none_or(|(len, _)| k.len() > len)
         {
             best = Some((k.len(), v));
         }

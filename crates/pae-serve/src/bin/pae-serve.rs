@@ -12,12 +12,13 @@
 //! samples 1-in-N requests into the obs trace (also settable via
 //! `PAE_SERVE_TRACE_SAMPLE`; the flag wins).
 //!
-//! Schema-v3 bundles carry freeze-time reference stats; the server
-//! scores live traffic against them and flags `/statusz` degraded when
-//! any attribute's drift exceeds `--drift-threshold` (PSI, default
-//! 0.25) or the windowed empty-extraction rate exceeds
-//! `--empty-rate-threshold` (default 0.5). Older bundles serve in
-//! no-reference mode (live `/qualityz` rates only, no drift scores).
+//! Bundles carry freeze-time reference stats; the server scores live
+//! traffic against them and flags `/statusz` degraded when any
+//! attribute's drift exceeds `--drift-threshold` (PSI, default 0.25)
+//! or the windowed empty-extraction rate exceeds
+//! `--empty-rate-threshold` (default 0.5). A bundle of a model frozen
+//! without reference stats serves in no-reference mode (live
+//! `/qualityz` rates only, no drift scores).
 //!
 //! `--profile` (or
 //! `PAE_PROF=1`) turns on the counting allocator so `/metrics` exposes
@@ -85,9 +86,9 @@ fn main() -> ExitCode {
         eprintln!("pae-serve: allocation profiling on (prof.* metric families live)");
     }
 
-    // Load = validate + assemble: on schema-v2 bundles the extractor
-    // borrows the loaded bytes (zero-copy), so this is the cold-start
-    // wall time /statusz reports as bundle.load_ns.
+    // Load = validate + assemble: the extractor borrows the loaded
+    // bytes (zero-copy), so this is the cold-start wall time /statusz
+    // reports as bundle.load_ns.
     let load_start = std::time::Instant::now();
     let loaded = match pae_core::LoadedBundle::open(std::path::Path::new(&bundle_path)) {
         Ok(b) => b,
@@ -99,14 +100,13 @@ fn main() -> ExitCode {
     let extractor = match loaded.extractor() {
         Ok(x) => x,
         Err(e) => {
-            eprintln!("pae-serve: cannot rehydrate model: {e}");
+            eprintln!("pae-serve: cannot build extractor: {e}");
             return ExitCode::from(1);
         }
     };
     let load_ns = load_start.elapsed().as_nanos() as u64;
     let hash = loaded.content_hash();
     config.bundle_hash = hash;
-    config.bundle_schema = loaded.schema_version();
     config.bundle_load_ns = load_ns;
     config.reference = match loaded.reference() {
         Ok(r) => r,
@@ -122,14 +122,11 @@ fn main() -> ExitCode {
             r.attrs.len(),
             r.backends.len()
         ),
-        None => eprintln!(
-            "pae-serve: no reference stats in bundle (schema v{}) — serving in no-reference mode",
-            loaded.schema_version()
-        ),
+        None => eprintln!("pae-serve: no reference stats in bundle — serving in no-reference mode"),
     }
     eprintln!(
         "pae-serve: loaded bundle {hash:016x} (schema v{}, {} attrs, {:.3} ms)",
-        loaded.schema_version(),
+        pae_core::BUNDLE_SCHEMA_VERSION,
         extractor.attrs().len(),
         load_ns as f64 / 1e6
     );

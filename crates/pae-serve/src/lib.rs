@@ -3,13 +3,13 @@
 //! HTTP extraction service over frozen model bundles.
 //!
 //! The serving half of the freeze-then-serve split: [`Server::start`]
-//! takes a rehydrated [`FrozenExtractor`] (usually from
-//! [`pae_core::read_bundle`]), binds a std `TcpListener`, and answers
-//! extraction requests from a bounded worker pool. The extractor —
-//! tokenizer lattice, PoS lexicon, label space, tagger parameters,
-//! frozen cleaning state — is built **once** and shared warm across
-//! all workers behind an `Arc`; no per-request model work happens
-//! beyond running the page pipeline itself.
+//! takes a loaded [`FrozenExtractor`] (from
+//! [`pae_core::LoadedBundle::extractor`]), binds a std `TcpListener`,
+//! and answers extraction requests from a bounded worker pool. The
+//! extractor — tokenizer lattice, PoS lexicon, label space, tagger
+//! parameters, frozen cleaning state — is built **once** and shared
+//! warm across all workers behind an `Arc`; no per-request model work
+//! happens beyond running the page pipeline itself.
 //!
 //! ## Protocol
 //!
@@ -52,8 +52,8 @@
 //! * `GET /qualityz` → JSON: the field-quality monitor's view — live
 //!   windowed per-attribute triple rates, empty-extraction and OOV
 //!   rates, value heavy hitters, and drift scores against the bundle's
-//!   freeze-time reference stats (schema v3; `serve.quality.*` on
-//!   `/metrics` mirrors it).
+//!   freeze-time reference stats (`serve.quality.*` on `/metrics`
+//!   mirrors it).
 //!
 //! Requests can also be *sampled* into the obs trace deterministically
 //! (1-in-N by request counter, `PAE_SERVE_TRACE_SAMPLE` — no RNG). All
@@ -97,12 +97,9 @@ pub struct ServerConfig {
     /// Content hash of the bundle being served, reported on
     /// `/healthz` and `/statusz` so replica fleets can detect bundle
     /// skew. 0 when the model did not come from a bundle (e.g. frozen
-    /// in-process by tests). Use [`pae_core::read_bundle_with_hash`]
-    /// to obtain it.
+    /// in-process by tests). Use
+    /// [`pae_core::LoadedBundle::content_hash`] to obtain it.
     pub bundle_hash: u64,
-    /// `PAEB` schema version of the bundle being served, reported on
-    /// `/statusz`. Defaults to the current writer schema.
-    pub bundle_schema: u32,
     /// Wall-clock nanoseconds the binary spent loading the bundle
     /// (validate + build extractor), reported on `/statusz` and as the
     /// `serve.bundle.load_ns` gauge. 0 when not loaded from a bundle.
@@ -116,7 +113,7 @@ pub struct ServerConfig {
     /// bounded slow-request ring (`/statusz?slow=1`); 0 disables.
     pub slow_ms: u64,
     /// Freeze-time reference stats from the bundle's quality section
-    /// (schema v3; [`pae_core::LoadedBundle::reference`]). `None` runs
+    /// ([`pae_core::LoadedBundle::reference`]). `None` runs
     /// the quality monitor in *no-reference* mode: live field telemetry
     /// only, no drift scores.
     pub reference: Option<ReferenceStats>,
@@ -135,7 +132,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:8391".to_owned(),
             workers: pae_runtime::jobs().clamp(2, 8),
             bundle_hash: 0,
-            bundle_schema: pae_core::BUNDLE_SCHEMA_VERSION,
             bundle_load_ns: 0,
             trace_sample: trace_sample_from_env(),
             slow_ms: 0,
@@ -182,7 +178,6 @@ impl Server {
         let n_workers = config.workers.max(1);
         let telemetry = Arc::new(Telemetry::new(
             config.bundle_hash,
-            config.bundle_schema,
             config.bundle_load_ns,
             config.trace_sample,
             config.slow_ms,
@@ -506,7 +501,7 @@ fn healthz(extractor: &FrozenExtractor, telemetry: &Telemetry) -> Response {
         "{{\"status\":\"ok\",\"attrs\":{},\"bundle_hash\":\"{:016x}\",\"schema_version\":{}}}",
         extractor.attrs().len(),
         telemetry.bundle_hash,
-        telemetry.schema_version
+        pae_core::BUNDLE_SCHEMA_VERSION
     ))
 }
 

@@ -18,11 +18,12 @@
 //! instrumented extraction path produced as a read-only overlay
 //! ([`pae_core::frozen::FrozenExtractor::extract_page_observed`]
 //! returns byte-identical triples) — monitoring provably cannot change
-//! `/extract` output. Bundles without a reference section (schema v1/v2)
-//! run in *no-reference* mode: live rates are still tracked, but drift
-//! scores are absent (`null` in `/qualityz`, families omitted from
-//! `/metrics`) — absent, never zero, so dashboards cannot mistake
-//! "nothing to compare against" for "no drift".
+//! `/extract` output. A bundle whose reference section is empty (a
+//! model frozen without stats) runs in *no-reference* mode: live rates
+//! are still tracked, but drift scores are absent (`null` in
+//! `/qualityz`, families omitted from `/metrics`) — absent, never zero,
+//! so dashboards cannot mistake "nothing to compare against" for "no
+//! drift".
 
 use std::sync::Mutex;
 

@@ -94,8 +94,6 @@ pub(crate) struct Telemetry {
     /// Content hash of the loaded bundle (0 when served from a
     /// non-bundle source, e.g. tests freezing in-process).
     pub bundle_hash: u64,
-    /// `PAEB` schema version of the loaded bundle.
-    pub schema_version: u32,
     /// Wall-clock nanoseconds spent loading the bundle at startup
     /// (0 when unknown, e.g. tests freezing in-process).
     pub bundle_load_ns: u64,
@@ -112,7 +110,6 @@ pub(crate) struct Telemetry {
 impl Telemetry {
     pub(crate) fn new(
         bundle_hash: u64,
-        schema_version: u32,
         bundle_load_ns: u64,
         trace_sample: u64,
         slow_ms: u64,
@@ -121,7 +118,6 @@ impl Telemetry {
         Telemetry {
             start: Instant::now(),
             bundle_hash,
-            schema_version,
             bundle_load_ns,
             trace_sample,
             slow_ns: slow_ms.saturating_mul(1_000_000),
@@ -370,7 +366,9 @@ impl Telemetry {
         let _ = write!(
             out,
             "{{\"bundle\":{{\"content_hash\":\"{:016x}\",\"schema_version\":{},\"load_ns\":{}}}",
-            self.bundle_hash, self.schema_version, self.bundle_load_ns
+            self.bundle_hash,
+            pae_core::BUNDLE_SCHEMA_VERSION,
+            self.bundle_load_ns
         );
         let _ = write!(
             out,
@@ -525,7 +523,7 @@ mod tests {
 
     #[test]
     fn records_accumulate_and_render() {
-        let t = Telemetry::new(0xabc, 1, 0, 0, 0, 4);
+        let t = Telemetry::new(0xabc, 0, 0, 0, 4);
         for _ in 0..5 {
             t.record("extract", 200, "200", &timing(1), t.next_seq());
         }
@@ -570,7 +568,7 @@ mod tests {
 
     #[test]
     fn statusz_is_valid_json_with_expected_fields() {
-        let t = Telemetry::new(0x1234, 2, 77, 0, 10, 4);
+        let t = Telemetry::new(0x1234, 77, 0, 10, 4);
         t.record("extract", 200, "200", &timing(50), t.next_seq()); // 50ms > 10ms: slow
         t.record("extract", 200, "200", &timing(0), t.next_seq());
         let doc = Json::parse(&t.statusz_json(true, None)).expect("statusz is JSON");
@@ -584,7 +582,7 @@ mod tests {
             doc.get("bundle")
                 .and_then(|b| b.get("schema_version"))
                 .and_then(Json::as_u64),
-            Some(2)
+            Some(u64::from(pae_core::BUNDLE_SCHEMA_VERSION))
         );
         assert_eq!(
             doc.get("bundle")
@@ -610,7 +608,7 @@ mod tests {
 
     #[test]
     fn slow_ring_is_bounded_drop_oldest() {
-        let t = Telemetry::new(0, 1, 0, 0, 1, 2);
+        let t = Telemetry::new(0, 0, 0, 1, 2);
         for _ in 0..(SLOW_RING + 10) {
             t.record("extract", 200, "200", &timing(5), t.next_seq());
         }
@@ -630,7 +628,7 @@ mod tests {
 
     #[test]
     fn statusz_memory_block_reflects_profiling_state() {
-        let t = Telemetry::new(0, 1, 0, 0, 0, 2);
+        let t = Telemetry::new(0, 0, 0, 0, 2);
         // Unprofiled: RSS fields present (real or null), allocator
         // counters absent.
         let doc = Json::parse(&t.statusz_json(false, None)).expect("JSON");
@@ -667,7 +665,7 @@ mod tests {
 
     #[test]
     fn empty_windows_render_null_not_zero() {
-        let t = Telemetry::new(0, 1, 0, 0, 0, 2);
+        let t = Telemetry::new(0, 0, 0, 0, 2);
         // Record far in the past: by "now" (t=0 .. a few ms) both the
         // 1m and 5m windows... actually the reverse: record at a large
         // now_s, then render at an epoch far past it, so every windowed
@@ -719,7 +717,7 @@ mod tests {
 
     #[test]
     fn statusz_carries_the_quality_flag_when_given() {
-        let t = Telemetry::new(0, 1, 0, 0, 0, 2);
+        let t = Telemetry::new(0, 0, 0, 0, 2);
         let doc = Json::parse(&t.statusz_json(false, Some("degraded"))).expect("JSON");
         assert_eq!(doc.get("quality").and_then(Json::as_str), Some("degraded"));
         let doc = Json::parse(&t.statusz_json(false, None)).expect("JSON");
@@ -728,7 +726,7 @@ mod tests {
 
     #[test]
     fn in_flight_and_busy_guards_balance() {
-        let t = Telemetry::new(0, 1, 0, 0, 0, 4);
+        let t = Telemetry::new(0, 0, 0, 0, 4);
         {
             let _b = t.worker_busy();
             let _g = t.enter("extract");

@@ -43,7 +43,7 @@ fn fixture() -> &'static Fixture {
 }
 
 fn extractor() -> FrozenExtractor {
-    fixture().model.extractor().expect("rehydrate")
+    fixture().model.extractor().expect("extractor")
 }
 
 fn start_server(bundle_hash: u64, trace_sample: u64, slow_ms: u64) -> Server {

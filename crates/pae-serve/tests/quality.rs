@@ -43,7 +43,7 @@ fn fixture() -> &'static Fixture {
 }
 
 fn extractor() -> FrozenExtractor {
-    fixture().model.extractor().expect("rehydrate")
+    fixture().model.extractor().expect("extractor")
 }
 
 fn start_server(config: ServerConfig) -> Server {
@@ -205,8 +205,9 @@ fn empty_extractions_flag_degraded() {
     server.shutdown();
 }
 
-/// A server without reference stats (schema v1/v2 bundle) still tracks
-/// live rates but reports drift as null / absent — never zero.
+/// A server without reference stats (a bundle frozen without them)
+/// still tracks live rates but reports drift as null / absent — never
+/// zero.
 #[test]
 fn no_reference_mode_has_absent_drift() {
     let fx = fixture();

@@ -40,7 +40,7 @@ fn fixture() -> &'static Fixture {
 }
 
 fn extractor() -> FrozenExtractor {
-    fixture().model.extractor().expect("rehydrate")
+    fixture().model.extractor().expect("extractor")
 }
 
 fn start_server() -> Server {

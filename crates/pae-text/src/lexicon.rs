@@ -48,7 +48,9 @@ enum Repr {
         /// Compiled on first match after any insert; cleared by inserts.
         compiled: OnceLock<Fst>,
     },
-    Frozen { fst: Fst },
+    Frozen {
+        fst: Fst,
+    },
 }
 
 /// Decodes a stored automaton value back into a tag; `None` for values
@@ -67,7 +69,10 @@ impl Lexicon {
     /// Creates an empty lexicon.
     pub fn new() -> Self {
         Lexicon {
-            repr: Repr::Building { entries: HashMap::new(), compiled: OnceLock::new() },
+            repr: Repr::Building {
+                entries: HashMap::new(),
+                compiled: OnceLock::new(),
+            },
         }
     }
 
@@ -87,7 +92,9 @@ impl Lexicon {
     /// Wraps a compiled automaton (word → tag index, meta = max chars)
     /// as a frozen lexicon without materializing any entries.
     pub fn from_fst(fst: Fst) -> Self {
-        Lexicon { repr: Repr::Frozen { fst } }
+        Lexicon {
+            repr: Repr::Frozen { fst },
+        }
     }
 
     /// Inserts or replaces an entry.
@@ -104,12 +111,13 @@ impl Lexicon {
             Repr::Frozen { fst } => {
                 let mut entries: HashMap<String, PosTag> = fst
                     .iter()
-                    .filter_map(|(k, v)| {
-                        Some((String::from_utf8(k).ok()?, tag_of_value(v)?))
-                    })
+                    .filter_map(|(k, v)| Some((String::from_utf8(k).ok()?, tag_of_value(v)?)))
                     .collect();
                 entries.insert(word, tag);
-                self.repr = Repr::Building { entries, compiled: OnceLock::new() };
+                self.repr = Repr::Building {
+                    entries,
+                    compiled: OnceLock::new(),
+                };
             }
         }
     }
@@ -134,7 +142,9 @@ impl Lexicon {
     /// match_len_bytes` always lands on a character boundary of `text`
     /// when `byte_pos` does.
     pub fn longest_match_at(&self, text: &str, byte_pos: usize) -> Option<(usize, PosTag)> {
-        let (len, v) = self.compiled().longest_match_at(text.as_bytes(), byte_pos)?;
+        let (len, v) = self
+            .compiled()
+            .longest_match_at(text.as_bytes(), byte_pos)?;
         Some((len, tag_of_value(v)?))
     }
 
@@ -174,9 +184,10 @@ impl Lexicon {
             Repr::Building { entries, .. } => {
                 Box::new(entries.iter().map(|(w, &t)| (w.clone(), t)))
             }
-            Repr::Frozen { fst } => Box::new(fst.iter().filter_map(|(k, v)| {
-                Some((String::from_utf8(k).ok()?, tag_of_value(v)?))
-            })),
+            Repr::Frozen { fst } => Box::new(
+                fst.iter()
+                    .filter_map(|(k, v)| Some((String::from_utf8(k).ok()?, tag_of_value(v)?))),
+            ),
         }
     }
 
@@ -202,8 +213,7 @@ impl Lexicon {
                     .map(|(w, &t)| (w.as_str(), t.index() as u32))
                     .collect();
                 pairs.sort_unstable_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
-                let max_chars =
-                    entries.keys().map(|w| w.chars().count()).max().unwrap_or(0) as u64;
+                let max_chars = entries.keys().map(|w| w.chars().count()).max().unwrap_or(0) as u64;
                 let pairs: Vec<(&[u8], u32)> =
                     pairs.into_iter().map(|(w, v)| (w.as_bytes(), v)).collect();
                 Fst::build(&pairs, max_chars).expect("sorted unique entries always build")
@@ -226,10 +236,7 @@ impl PartialEq for Lexicon {
     /// was compiled from.
     fn eq(&self, other: &Self) -> bool {
         match (&self.repr, &other.repr) {
-            (
-                Repr::Building { entries: a, .. },
-                Repr::Building { entries: b, .. },
-            ) => a == b,
+            (Repr::Building { entries: a, .. }, Repr::Building { entries: b, .. }) => a == b,
             (Repr::Frozen { fst: a }, Repr::Frozen { fst: b }) if a == b => true,
             _ => self.sorted_entries() == other.sorted_entries(),
         }
@@ -364,6 +371,9 @@ mod tests {
     fn multibyte_entries_match_on_byte_offsets() {
         let lex = Lexicon::from_entries([("重さ", PosTag::Noun), ("重", PosTag::Other)]);
         let text = "重さは";
-        assert_eq!(lex.longest_match_at(text, 0), Some(("重さ".len(), PosTag::Noun)));
+        assert_eq!(
+            lex.longest_match_at(text, 0),
+            Some(("重さ".len(), PosTag::Noun))
+        );
     }
 }

@@ -1,43 +1,46 @@
-//! Bundle compatibility and zero-copy equivalence, over the committed
-//! smoke fixtures under `crates/pae-bench/benches/data/`: the same
-//! frozen model written in schema v1 (eager) and schema v2 (zero-copy)
-//! by `pae-bench freeze --schema 1|2` with MASTER_SEED=42.
+//! Bundle stability and loader robustness, over the committed smoke
+//! fixture `crates/pae-bench/benches/data/smoke.paeb`, written by
+//! `pae-bench freeze <path> --products 60` with MASTER_SEED=42.
 //!
 //! Four guarantees:
 //!
-//! 1. **Backward compat** — schema-v1 bundles written before the
-//!    compaction still load (legacy eager path) and decode to the same
-//!    model as the v2 encoding.
-//! 2. **Zero-copy equivalence** — the borrowed-arena extractor is
-//!    byte-identical to the eager-rehydrated one, at `PAE_JOBS=1` and
-//!    `4`.
-//! 3. **Serve-vs-direct** — an HTTP server answering from the
-//!    zero-copy extractor returns exactly the triples direct in-process
+//! 1. **Stable bytes** — re-encoding the model the fixture holds
+//!    reproduces the fixture bit for bit, and the encoding round-trips
+//!    the optional reference-stats section (absent or present); a
+//!    bundle without it serves in no-reference mode.
+//! 2. **One extractor** — the extractor loaded from the fixture is
+//!    thread-count invariant and identical to
+//!    `FrozenModel::extractor` on the materialized model.
+//! 3. **Serve-vs-direct** — an HTTP server answering from the loaded
+//!    extractor returns exactly the triples direct in-process
 //!    extraction produces.
-//! 4. **No-reference mode** — pre-v3 bundles carry no freeze-time
-//!    reference stats; they must report `reference() == Ok(None)` and
-//!    keep serving, while the current (v3) encoding round-trips the
-//!    reference-stats section intact.
+//! 4. **Hostile bytes** — truncated or bit-flipped bundles, even with
+//!    every hash recomputed so the flips reach the section decoders,
+//!    load to a typed error or a working extractor: never a panic, never
+//!    a hang.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
+use proptest::prelude::*;
+
+use pae::core::bundle::{encode, fnv1a, fnv1a_words};
 use pae::core::frozen::FrozenExtractor;
-use pae::core::{LoadedBundle, Triple, BUNDLE_SCHEMA_V2, BUNDLE_SCHEMA_VERSION};
+use pae::core::{LoadedBundle, Triple};
 use pae::runtime::with_jobs;
 use pae::serve::{http_request, parse_extract_response, Server, ServerConfig};
 use pae::synth::{CategoryKind, DatasetSpec};
 
-fn fixture_bytes(name: &str) -> Vec<u8> {
+fn fixture_bytes() -> Vec<u8> {
     let path = Path::new(concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/crates/pae-bench/benches/data"
-    ))
-    .join(name);
-    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+        "/crates/pae-bench/benches/data/smoke.paeb"
+    ));
+    std::fs::read(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Pages matching the fixtures' training category (the extractor is a
+/// Pages matching the fixture's training category (the extractor is a
 /// model, not a parser — any page set works, but in-domain pages
 /// exercise the lexicon/veto arenas for real).
 fn fixture_pages() -> Vec<(u32, String)> {
@@ -51,83 +54,66 @@ fn fixture_pages() -> Vec<(u32, String)> {
         .collect()
 }
 
-#[test]
-fn v1_fixture_loads_through_the_legacy_path() {
-    let v1 = LoadedBundle::from_bytes(fixture_bytes("smoke_v1.paeb")).expect("v1 loads");
-    assert_eq!(v1.schema_version(), 1, "fixture must be schema v1");
-    let model = v1.model().expect("v1 model materializes");
-    assert!(!model.attrs.is_empty());
-    let extractor = v1.extractor().expect("v1 extractor rehydrates");
-    assert_eq!(extractor.attrs().len(), model.attrs.len());
+fn extract_at(extractor: &FrozenExtractor, pages: &[(u32, String)], jobs: usize) -> Vec<Triple> {
+    with_jobs(jobs, || extractor.extract_pages(pages))
 }
 
+/// Loading the fixture and re-encoding the model it holds reproduces
+/// the committed bytes exactly: decode → encode is canonical.
 #[test]
-fn v1_and_v2_fixtures_hold_the_same_model() {
-    let v1 = LoadedBundle::from_bytes(fixture_bytes("smoke_v1.paeb")).expect("v1 loads");
-    let v2 = LoadedBundle::from_bytes(fixture_bytes("smoke_v2.paeb")).expect("v2 loads");
-    assert_eq!(
-        v2.schema_version(),
-        BUNDLE_SCHEMA_V2,
-        "fixture must be schema v2"
-    );
-    assert_eq!(
-        v1.model().expect("v1 model"),
-        v2.model().expect("v2 model"),
-        "schema migration changed the model"
+fn reencoding_the_fixture_model_is_byte_identical() {
+    let fixture = fixture_bytes();
+    let model = LoadedBundle::from_bytes(fixture.clone())
+        .expect("fixture loads")
+        .model()
+        .expect("model materializes");
+    assert!(model.reference.is_some(), "freeze embeds reference stats");
+    assert!(
+        encode(&model) == fixture,
+        "encode(model(fixture)) != fixture"
     );
 }
 
-/// Re-encoding the model materialized from a legacy bundle must
-/// reproduce the v2 fixture bit for bit: the migration path
-/// (load v1 → encode_v2) is deterministic and canonical.
-#[test]
-fn reencoding_a_v1_model_is_byte_identical_to_the_v2_fixture() {
-    let v1 = LoadedBundle::from_bytes(fixture_bytes("smoke_v1.paeb")).expect("v1 loads");
-    let model = v1.model().expect("v1 model");
-    assert_eq!(
-        pae::core::bundle::encode_v2(&model),
-        fixture_bytes("smoke_v2.paeb"),
-        "encode_v2(model_from_v1) != committed v2 bytes"
-    );
-}
-
-/// Pre-v3 bundles have no reference-stats section: both fixtures must
-/// report `Ok(None)` — the monitor's "no-reference mode", never an
-/// error — and the v2 extractor keeps working without one.
+/// A bundle without the reference-stats section (what every pre-v3
+/// bundle was, and what a model frozen without stats still encodes to)
+/// reports `Ok(None)`, the monitor's "no-reference mode", never an
+/// error, and its extractor keeps serving.
 #[test]
 fn pre_v3_fixtures_load_in_no_reference_mode() {
-    for name in ["smoke_v1.paeb", "smoke_v2.paeb"] {
-        let loaded = LoadedBundle::from_bytes(fixture_bytes(name)).expect("fixture loads");
-        assert_eq!(
-            loaded
-                .reference()
-                .expect("reference never errors on fixtures"),
-            None,
-            "{name}: pre-v3 bundle invented reference stats"
-        );
-    }
-    let v2 = LoadedBundle::from_bytes(fixture_bytes("smoke_v2.paeb")).expect("v2 loads");
-    let extractor = v2.extractor().expect("no-reference bundle still serves");
+    let mut model = LoadedBundle::from_bytes(fixture_bytes())
+        .expect("fixture loads")
+        .model()
+        .expect("fixture model");
+    model.reference = None;
+    let loaded = LoadedBundle::from_bytes(encode(&model)).expect("bare bundle loads");
+    assert_eq!(
+        loaded.reference().expect("reference never errors here"),
+        None,
+        "reference-free bundle invented reference stats"
+    );
+    let extractor = loaded
+        .extractor()
+        .expect("no-reference bundle still serves");
     assert!(!extract_at(&extractor, &fixture_pages(), 1).is_empty());
 }
 
-/// The current encoder emits schema v3 and round-trips the optional
-/// reference-stats section exactly — both absent (legacy model) and
-/// present (synthetic stats grafted onto the fixture model).
+/// The encoding round-trips the optional reference-stats section
+/// exactly — absent (a model frozen without stats) and present
+/// (synthetic stats grafted onto the fixture model).
 #[test]
 fn v3_encoding_round_trips_reference_stats() {
     use pae::core::quality::{CONF_BUCKETS, LEN_BUCKETS};
     use pae::core::{AttrReference, BackendReference, ReferenceStats};
 
-    let v1 = LoadedBundle::from_bytes(fixture_bytes("smoke_v1.paeb")).expect("v1 loads");
-    let mut model = v1.model().expect("v1 model");
-    assert_eq!(model.reference, None, "legacy model carries no stats");
+    let mut model = LoadedBundle::from_bytes(fixture_bytes())
+        .expect("fixture loads")
+        .model()
+        .expect("fixture model");
 
-    // Absent: a reference-free model still encodes as v3, loads, and
-    // reports no-reference mode.
-    let bare = pae::core::bundle::encode(&model);
-    let loaded = LoadedBundle::from_bytes(bare).expect("v3 loads");
-    assert_eq!(loaded.schema_version(), BUNDLE_SCHEMA_VERSION);
+    // Absent: a reference-free model encodes, loads, and reports
+    // no-reference mode.
+    model.reference = None;
+    let loaded = LoadedBundle::from_bytes(encode(&model)).expect("bare bundle loads");
     assert_eq!(loaded.reference().expect("decodes"), None);
     assert_eq!(loaded.model().expect("model"), model);
 
@@ -150,52 +136,45 @@ fn v3_encoding_round_trips_reference_stats() {
         }],
     };
     model.reference = Some(stats.clone());
-    let loaded = LoadedBundle::from_bytes(pae::core::bundle::encode(&model)).expect("v3 loads");
-    assert_eq!(loaded.schema_version(), BUNDLE_SCHEMA_VERSION);
+    let loaded = LoadedBundle::from_bytes(encode(&model)).expect("bundle loads");
     assert_eq!(loaded.reference().expect("decodes"), Some(stats));
     assert_eq!(loaded.model().expect("model"), model);
 }
 
-fn extract_at(extractor: &FrozenExtractor, pages: &[(u32, String)], jobs: usize) -> Vec<Triple> {
-    with_jobs(jobs, || extractor.extract_pages(pages))
-}
-
-/// The tentpole correctness bar: the zero-copy extractor (arenas
-/// borrowed from the loaded v2 bytes) extracts byte-identical triples
-/// to the eager path, and both are thread-count invariant.
+/// The extractor loaded from the fixture gives identical triples at
+/// `PAE_JOBS=1` and `4`, and matches `FrozenModel::extractor` on the
+/// materialized model (which encodes and loads the same bytes).
 #[test]
-fn zero_copy_extraction_matches_eager_at_any_job_count() {
-    let bytes: Arc<[u8]> = fixture_bytes("smoke_v2.paeb").into();
-    let loaded = LoadedBundle::from_shared(bytes).expect("v2 loads");
-    let zero_copy = loaded.extractor().expect("zero-copy extractor");
-    let eager = loaded
+fn fixture_extractor_is_job_count_invariant_and_matches_model_extractor() {
+    let bytes: Arc<[u8]> = fixture_bytes().into();
+    let loaded = LoadedBundle::from_shared(bytes).expect("fixture loads");
+    let extractor = loaded.extractor().expect("extractor");
+    let pages = fixture_pages();
+
+    let reference = extract_at(&extractor, &pages, 1);
+    assert!(!reference.is_empty(), "fixture extracts nothing");
+    assert_eq!(
+        extract_at(&extractor, &pages, 4),
+        reference,
+        "PAE_JOBS=4 diverged from PAE_JOBS=1"
+    );
+    let from_model = loaded
         .model()
         .expect("materialize")
         .extractor()
-        .expect("eager extractor");
-    let pages = fixture_pages();
-
-    let reference = extract_at(&eager, &pages, 1);
-    assert!(!reference.is_empty(), "fixture extracts nothing");
-    for jobs in [1usize, 4] {
-        assert_eq!(
-            extract_at(&zero_copy, &pages, jobs),
-            reference,
-            "PAE_JOBS={jobs}: zero-copy diverged from eager"
-        );
-        assert_eq!(
-            extract_at(&eager, &pages, jobs),
-            reference,
-            "PAE_JOBS={jobs}: eager extraction is thread-count dependent"
-        );
-    }
+        .expect("model extractor");
+    assert_eq!(
+        extract_at(&from_model, &pages, 1),
+        reference,
+        "FrozenModel::extractor diverged from the loaded bundle's"
+    );
 }
 
-/// Serving from the zero-copy extractor returns exactly what direct
+/// Serving from the loaded extractor returns exactly what direct
 /// in-process extraction produces, at both pool widths.
 #[test]
 fn serve_from_v2_bundle_matches_direct_extraction() {
-    let loaded = LoadedBundle::from_bytes(fixture_bytes("smoke_v2.paeb")).expect("v2 loads");
+    let loaded = LoadedBundle::from_bytes(fixture_bytes()).expect("fixture loads");
     let pages = fixture_pages();
     let direct = loaded.extractor().expect("extractor");
     let at_one = extract_at(&direct, &pages, 1);
@@ -227,4 +206,148 @@ fn serve_from_v2_bundle_matches_direct_extraction() {
     let served = parse_extract_response(&response).expect("parse");
     assert_eq!(served, at_one, "served triples diverged from direct");
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Loader fuzz.
+
+/// Header: magic u32 | version u32 | content hash u64 | section count
+/// u32, then one 32-byte table entry per section (id u32 | reserved u32
+/// | offset u64 | len u64 | hash u64), then the 8-aligned payload.
+const HEADER: usize = 20;
+const ENTRY: usize = 32;
+const SECTIONS: usize = 7;
+const PAYLOAD_START: usize = (HEADER + SECTIONS * ENTRY + 7) & !7;
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// Absolute `(start, len)` of every section of a well-formed bundle.
+fn section_ranges(bytes: &[u8]) -> Vec<(usize, usize)> {
+    (0..SECTIONS)
+        .map(|i| {
+            let entry = HEADER + i * ENTRY;
+            let start = PAYLOAD_START + u64_at(bytes, entry + 8) as usize;
+            (start, u64_at(bytes, entry + 16) as usize)
+        })
+        .collect()
+}
+
+/// Recomputes every section hash the (possibly mutated) table still
+/// points inside the file for, then the table hash in the header, so
+/// the mutation gets past integrity checking to the section decoders.
+fn rehash(bytes: &mut [u8]) {
+    for i in 0..SECTIONS {
+        let entry = HEADER + i * ENTRY;
+        let start = PAYLOAD_START as u64 + u64_at(bytes, entry + 8);
+        let end = start.saturating_add(u64_at(bytes, entry + 16));
+        if end <= bytes.len() as u64 {
+            let hash = fnv1a_words(&bytes[start as usize..end as usize]);
+            bytes[entry + 24..entry + 32].copy_from_slice(&hash.to_le_bytes());
+        }
+    }
+    let table = fnv1a(&bytes[HEADER..HEADER + SECTIONS * ENTRY]);
+    bytes[8..16].copy_from_slice(&table.to_le_bytes());
+}
+
+/// Everything a server does with untrusted bundle bytes: load, build
+/// the extractor, extract pages — and, separately, materialize the
+/// model. Errors are fine; only a panic or a hang is a failure.
+fn exercise(bytes: Vec<u8>, pages: &[(u32, String)]) {
+    let Ok(loaded) = LoadedBundle::from_bytes(bytes) else {
+        return;
+    };
+    if let Ok(extractor) = loaded.extractor() {
+        for (product, html) in pages {
+            extractor.extract_page(*product, html);
+        }
+    }
+    let _ = loaded.model();
+    let _ = loaded.reference();
+}
+
+/// Runs [`exercise`] on its own thread, so a panic is caught and a
+/// hang is cut off at `limit`.
+fn exercise_bounded(
+    bytes: Vec<u8>,
+    pages: Arc<Vec<(u32, String)>>,
+    limit: Duration,
+) -> Result<(), &'static str> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exercise(bytes, &pages)));
+        let _ = tx.send(outcome.is_ok());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(clean) => {
+            worker.join().expect("the worker catches its own panic");
+            clean.then_some(()).ok_or("panicked")
+        }
+        // A hung worker cannot be joined; it stays detached and the
+        // case fails.
+        Err(_) => Err("hung"),
+    }
+}
+
+/// The fixture, its section ranges, and a few pages to extract, built
+/// once for every fuzz case.
+struct FuzzInput {
+    bytes: Vec<u8>,
+    ranges: Vec<(usize, usize)>,
+    pages: Arc<Vec<(u32, String)>>,
+}
+
+fn fuzz_input() -> &'static FuzzInput {
+    static INPUT: OnceLock<FuzzInput> = OnceLock::new();
+    INPUT.get_or_init(|| {
+        let bytes = fixture_bytes();
+        FuzzInput {
+            ranges: section_ranges(&bytes),
+            bytes,
+            pages: Arc::new(fixture_pages().into_iter().take(3).collect()),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Mutations of the fixture: `mode` 0 truncates at the first
+    /// flip's position, 1 applies the flips as they are (the hashes
+    /// must catch them), 2 applies them and recomputes every hash.
+    /// Each flip picks a region — one of the seven sections, or (7)
+    /// the whole file — so every section decoder is reached about
+    /// equally often whatever its size.
+    #[test]
+    fn mutated_fixture_loads_to_a_typed_error_never_a_panic(
+        mode in 0u8..3,
+        flips in proptest::collection::vec((0usize..8, 0usize..1 << 24, 1u8..=255), 1..4),
+    ) {
+        let input = fuzz_input();
+        let mut bytes = input.bytes.clone();
+        let region = |r: usize| match input.ranges.get(r) {
+            Some(&(start, len)) if len > 0 => (start, len),
+            _ => (0, input.bytes.len()),
+        };
+        if mode == 0 {
+            let (start, len) = region(flips[0].0);
+            bytes.truncate(start + flips[0].1 % len);
+        } else {
+            for &(r, pos, xor) in &flips {
+                let (start, len) = region(r);
+                bytes[start + pos % len] ^= xor;
+            }
+            if mode == 2 {
+                rehash(&mut bytes);
+            }
+        }
+        let outcome = exercise_bounded(bytes, Arc::clone(&input.pages), Duration::from_secs(20));
+        prop_assert!(
+            outcome.is_ok(),
+            "mode {mode}, flips {flips:?}: the loader {}",
+            outcome.unwrap_err()
+        );
+    }
 }

@@ -192,39 +192,6 @@ fn run_summary_quality_is_byte_identical_across_thread_counts() {
     }
 }
 
-/// The sparse-gradient guarantee: the allocation-free sparse fold must
-/// be byte-identical to the legacy dense fold it replaced (kept behind
-/// [`pae::crf::with_dense_grad`] for one release) — at serial and
-/// parallel pool widths.
-#[test]
-fn dense_and_sparse_gradient_folds_extract_identical_triples() {
-    for jobs in [1usize, 4] {
-        let sparse = run_tagger_at(TaggerKind::Crf, jobs);
-        let dense = pae::crf::with_dense_grad(true, || run_tagger_at(TaggerKind::Crf, jobs));
-        assert!(!sparse.is_empty(), "PAE_JOBS={jobs}: extracted nothing");
-        assert_eq!(
-            sparse, dense,
-            "PAE_JOBS={jobs}: dense vs sparse gradient fold diverged"
-        );
-    }
-}
-
-/// Same guarantee one level up: the `RunSummary` quality section a CI
-/// gate would consume is byte-identical between the dense and sparse
-/// gradient paths at both pool widths.
-#[test]
-fn dense_and_sparse_gradient_folds_quality_sections_match() {
-    let _l = obs_lock();
-    let reference = quality_section(1);
-    for jobs in [1usize, 4] {
-        let dense = pae::crf::with_dense_grad(true, || quality_section(jobs));
-        assert_eq!(
-            dense, reference,
-            "PAE_JOBS={jobs}: dense-fold quality section diverged"
-        );
-    }
-}
-
 /// Captures one provenance-enabled CRF run at `jobs`: the final
 /// triples plus the lineage-ledger JSON built from the run's own span
 /// subtree. Callers must hold [`obs_lock`].
