@@ -1,7 +1,9 @@
-//! Criterion microbenchmarks for the CRF training hot paths: the
+//! Criterion microbenchmarks for the CRF hot paths: the
 //! sparse-gradient objective ([`pae_crf::TrainEngine::nll_and_grad`]),
-//! scratch-reusing marginals ([`pae_crf::marginals_into`]), and
-//! string-free feature extraction.
+//! scratch-reusing marginals ([`pae_crf::marginals_into`]), the served
+//! decode with its confidence overlay
+//! ([`pae_crf::CrfModel::viterbi_with_confidence`]), and string-free
+//! feature extraction.
 //!
 //! Like the `pipeline` bench, a custom `main` merges full-mode results
 //! into the repo-root `BENCH_pipeline.json`; in CI the target is
@@ -99,6 +101,27 @@ fn bench_marginals(c: &mut Criterion) {
     group.finish();
 }
 
+/// The served decode at perfbench's shape: a 13-label model and a
+/// 33-position sentence, decoded with its confidence overlay.
+fn bench_viterbi_with_confidence(c: &mut Criterion) {
+    const SERVED_LABELS: usize = 13;
+    const SERVED_POSITIONS: usize = 33;
+    let mut rng = Rng(33);
+    let features: Vec<Vec<FeatId>> = (0..SERVED_POSITIONS)
+        .map(|_| (0..13).map(|_| rng.below(N_FEATURES) as FeatId).collect())
+        .collect();
+    let mut model = CrfModel::new(N_FEATURES, SERVED_LABELS);
+    let params = synth_params(model.params.len());
+    model.params.copy_from_slice(&params);
+
+    let mut group = c.benchmark_group("crf_micro");
+    group.sample_size(20);
+    group.bench_function("viterbi_with_confidence_one_seq", |b| {
+        b.iter(|| model.viterbi_with_confidence(black_box(&features)))
+    });
+    group.finish();
+}
+
 fn bench_feature_extraction(c: &mut Criterion) {
     // Realistic short product sentences (the extractor only sees &str
     // slices, so synthetic vocab is fine).
@@ -138,6 +161,7 @@ criterion_group!(
     benches,
     bench_nll_and_grad,
     bench_marginals,
+    bench_viterbi_with_confidence,
     bench_feature_extraction
 );
 

@@ -1,11 +1,18 @@
-//! Log-space forward/backward, marginals, and Viterbi decoding.
+//! Forward/backward, marginals and Viterbi decoding.
+//!
+//! Training works in log space ([`forward`], [`backward`],
+//! [`marginals`] and their flat twins [`forward_into`] and
+//! [`marginals_into`]). Serving decodes each sentence from one flat
+//! emission pass: [`viterbi`] is max-sum in log space, and the
+//! confidence overlay of [`viterbi_with_confidence`] is a scaled
+//! exp-space forward–backward, with log space as its fallback.
 
 // Dynamic-programming kernels read clearest with explicit indices.
 #![allow(clippy::needless_range_loop)]
 
 use crate::data::{FeatureSeq, LabelId};
 use crate::model::{CrfModel, ParamsView};
-use crate::numeric::log_sum_exp;
+use crate::numeric::{dot, log_sum_exp};
 
 /// Forward pass result.
 #[derive(Debug, Clone)]
@@ -288,68 +295,51 @@ pub fn marginals_into<S: FeatureSeq + ?Sized>(
     scratch.alpha = alpha;
 }
 
-/// Viterbi decoding plus per-token posterior confidence: the decoded
-/// label sequence and, for each position `t`, the forward–backward
-/// marginal `P(y_t = ŷ_t | x)` of the decoded label.
-///
-/// The labels are exactly [`viterbi`]'s output; the confidences are a
-/// read-only overlay (`exp(alpha[t][ŷ] + beta[t][ŷ] − log Z)`), so
-/// scoring a decode can never change it. A confidence near 1 means the
-/// whole posterior mass agrees with the Viterbi path at that token;
-/// values near `1/n_labels` flag tokens the model was guessing on.
-pub fn viterbi_with_confidence<S: FeatureSeq + ?Sized>(
-    model: &CrfModel,
-    features: &S,
-) -> (Vec<LabelId>, Vec<f64>) {
-    let labels = viterbi(model, features);
-    if labels.is_empty() {
-        return (labels, Vec::new());
+/// Emission scores of every position, flat: `em[t * l + y]`. One pass
+/// per sentence feeds both Viterbi and the confidence overlay.
+fn emissions<S: FeatureSeq + ?Sized>(view: ParamsView<'_>, features: &S) -> Vec<f64> {
+    let l = view.n_labels;
+    let mut em = vec![0.0; features.n_positions() * l];
+    for t in 0..features.n_positions() {
+        view.emission_scores(features.feats(t), &mut em[t * l..(t + 1) * l]);
     }
-    let fwd = forward(model, features);
-    let beta = backward(model, &fwd.emissions);
-    let confidence = labels
-        .iter()
-        .enumerate()
-        .map(|(t, &y)| (fwd.alpha[t][y] + beta[t][y] - fwd.log_z).exp())
-        .collect();
-    (labels, confidence)
+    em
 }
 
-/// Viterbi decoding: most probable label sequence.
-pub fn viterbi<S: FeatureSeq + ?Sized>(model: &CrfModel, features: &S) -> Vec<LabelId> {
-    let view = model.view();
-    let n = features.n_positions();
-    let l = model.n_labels;
-    if n == 0 {
+/// Max-sum Viterbi over flat emissions `em` (`n·l`, see [`emissions`]):
+/// `delta[t][y] = max_p(delta[t−1][p] + trans(p, y)) + em[t][y]`, the
+/// first maximising predecessor winning ties.
+fn viterbi_flat(view: ParamsView<'_>, em: &[f64]) -> Vec<LabelId> {
+    let l = view.n_labels;
+    if em.is_empty() {
         return Vec::new();
     }
-    let mut emission = vec![0.0; l];
-    let mut delta = vec![vec![f64::NEG_INFINITY; l]; n];
-    let mut back = vec![vec![0usize; l]; n];
-    view.emission_scores(features.feats(0), &mut emission);
-    for y in 0..l {
-        delta[0][y] = view.start(y) + emission[y];
-    }
+    let n = em.len() / l;
+    // Rows `t − 1` and `t` of delta; `back[t*l + y]` is the best
+    // predecessor of `y` at `t`.
+    let mut prev: Vec<f64> = (0..l).map(|y| view.start(y) + em[y]).collect();
+    let mut cur = vec![0.0; l];
+    let mut back = vec![0; n * l];
     for t in 1..n {
-        view.emission_scores(features.feats(t), &mut emission);
         for y in 0..l {
             let mut best = f64::NEG_INFINITY;
             let mut arg = 0;
             for p in 0..l {
-                let s = delta[t - 1][p] + view.transition(p, y);
+                let s = prev[p] + view.transition(p, y);
                 if s > best {
                     best = s;
                     arg = p;
                 }
             }
-            delta[t][y] = best + emission[y];
-            back[t][y] = arg;
+            cur[y] = best + em[t * l + y];
+            back[t * l + y] = arg;
         }
+        std::mem::swap(&mut prev, &mut cur);
     }
     let mut last = 0;
     let mut best = f64::NEG_INFINITY;
     for y in 0..l {
-        let s = delta[n - 1][y] + view.end(y);
+        let s = prev[y] + view.end(y);
         if s > best {
             best = s;
             last = y;
@@ -359,15 +349,141 @@ pub fn viterbi<S: FeatureSeq + ?Sized>(model: &CrfModel, features: &S) -> Vec<La
     let mut cur = last;
     for t in (0..n).rev() {
         out[t] = cur;
-        cur = back[t][cur];
+        cur = back[t * l + cur];
     }
     out
+}
+
+/// Posterior of each decoded label by a scaled exp-space
+/// forward–backward, CRFsuite's `crf1d` scheme: the transitions are
+/// exponentiated once, each position's emissions become
+/// `exp(em − row max)` (in place: `em` is consumed), α is normalised
+/// to sum 1 at every position and β is divided by the same factors.
+/// The confidence is then `α̂[t][ŷ]·β̂[t][ŷ] / z` with
+/// `z = Σ_y α̂[n−1][y]·exp(end[y])`.
+///
+/// Returns `None` when a scale sum or `z` is not a normal float (0,
+/// subnormal, infinite or NaN) or a confidence is not finite: weights
+/// that exp space cannot represent, such as transitions at or below
+/// −745, whose exponentials underflow to 0.
+fn scaled_confidence(view: ParamsView<'_>, em: &mut [f64], labels: &[LabelId]) -> Option<Vec<f64>> {
+    let l = view.n_labels;
+    let n = labels.len();
+    let trans: Vec<f64> = view.params[view.trans_offset()..view.start_offset()]
+        .iter()
+        .map(|w| w.exp())
+        .collect();
+    for row in em.chunks_exact_mut(l) {
+        let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        for e in row {
+            *e = (*e - max).exp();
+        }
+    }
+    // α̂ is kept one row at a time: the decoded label's entry goes to
+    // `confidence`, the row's scale factor (as its inverse) to
+    // `inv_scale` for the backward pass.
+    let mut confidence = vec![0.0; n];
+    let mut inv_scale = vec![0.0; n];
+    let mut alpha: Vec<f64> = (0..l).map(|y| view.start(y).exp() * em[y]).collect();
+    let mut next = vec![0.0; l];
+    for t in 0..n {
+        if t > 0 {
+            next.fill(0.0);
+            for (p, &a) in alpha.iter().enumerate() {
+                for (x, &w) in next.iter_mut().zip(&trans[p * l..(p + 1) * l]) {
+                    *x += a * w;
+                }
+            }
+            for (x, &e) in next.iter_mut().zip(&em[t * l..(t + 1) * l]) {
+                *x *= e;
+            }
+            std::mem::swap(&mut alpha, &mut next);
+        }
+        let sum: f64 = alpha.iter().sum();
+        if !sum.is_normal() {
+            return None;
+        }
+        inv_scale[t] = 1.0 / sum;
+        for a in &mut alpha {
+            *a *= inv_scale[t];
+        }
+        confidence[t] = alpha[labels[t]];
+    }
+    let mut beta: Vec<f64> = (0..l).map(|y| view.end(y).exp()).collect();
+    let z = dot(&alpha, &beta);
+    if !z.is_normal() {
+        return None;
+    }
+    let inv_z = 1.0 / z;
+    confidence[n - 1] *= beta[labels[n - 1]] * inv_z;
+    for t in (0..n - 1).rev() {
+        // β̂[t][y] = Σ_q T[y][q]·E[t+1][q]·β̂[t+1][q] / c[t+1]
+        for ((w, &b), &e) in next
+            .iter_mut()
+            .zip(&beta)
+            .zip(&em[(t + 1) * l..(t + 2) * l])
+        {
+            *w = b * e;
+        }
+        for (y, b) in beta.iter_mut().enumerate() {
+            *b = dot(&trans[y * l..(y + 1) * l], &next) * inv_scale[t + 1];
+        }
+        confidence[t] *= beta[labels[t]] * inv_z;
+    }
+    confidence
+        .iter()
+        .all(|c| c.is_finite())
+        .then_some(confidence)
+}
+
+/// Viterbi decoding plus per-token posterior confidence: the decoded
+/// label sequence and, for each position `t`, the forward–backward
+/// marginal `P(y_t = ŷ_t | x)` of the decoded label.
+///
+/// The labels are exactly [`viterbi`]'s output; the confidences are a
+/// read-only overlay, so scoring a decode can never change it. Both
+/// come from one emission pass: Viterbi runs on it in log space, the
+/// overlay in scaled exp space (see [`scaled_confidence`]). When exp
+/// space cannot represent the model's weights the overlay falls back
+/// to the log-space [`forward`] and [`backward`]
+/// (`exp(alpha[t][ŷ] + beta[t][ŷ] − log Z)`) and counts
+/// `crf.scaled.fallback`. A confidence near 1 means the whole posterior
+/// mass agrees with the Viterbi path at that token; values near
+/// `1/n_labels` flag tokens the model was guessing on.
+pub fn viterbi_with_confidence<S: FeatureSeq + ?Sized>(
+    model: &CrfModel,
+    features: &S,
+) -> (Vec<LabelId>, Vec<f64>) {
+    let view = model.view();
+    let mut em = emissions(view, features);
+    let labels = viterbi_flat(view, &em);
+    if labels.is_empty() {
+        return (labels, Vec::new());
+    }
+    let confidence = scaled_confidence(view, &mut em, &labels).unwrap_or_else(|| {
+        pae_obs::counter_add("crf.scaled.fallback", &[], 1);
+        let fwd = forward(model, features);
+        let beta = backward(model, &fwd.emissions);
+        labels
+            .iter()
+            .enumerate()
+            .map(|(t, &y)| (fwd.alpha[t][y] + beta[t][y] - fwd.log_z).exp())
+            .collect()
+    });
+    (labels, confidence)
+}
+
+/// Viterbi decoding: most probable label sequence.
+pub fn viterbi<S: FeatureSeq + ?Sized>(model: &CrfModel, features: &S) -> Vec<LabelId> {
+    let view = model.view();
+    viterbi_flat(view, &emissions(view, features))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::{CsrInstances, FeatId, Instance};
+    use proptest::prelude::*;
 
     /// Model with 2 labels / 2 features and hand-set weights.
     fn toy_model() -> CrfModel {
@@ -530,6 +646,135 @@ mod tests {
         let mut scratch = MargScratch::default();
         marginals_into(m.view(), &[] as &[Vec<FeatId>], &mut scratch);
         assert_eq!(scratch.log_z, 0.0);
+    }
+
+    /// Strategy: a model with a label count in `labels` and every
+    /// weight in ±20, and a sequence of a length in `len` with up to
+    /// two active features per position.
+    fn random_model(
+        labels: std::ops::RangeInclusive<usize>,
+        len: std::ops::RangeInclusive<usize>,
+    ) -> impl Strategy<Value = (CrfModel, Vec<Vec<FeatId>>)> {
+        const N_FEATURES: usize = 6;
+        (labels, len).prop_flat_map(|(l, n)| {
+            let params =
+                proptest::collection::vec(-20.0..20.0f64, CrfModel::param_len(N_FEATURES, l));
+            let feats = proptest::collection::vec(
+                proptest::collection::vec(0..N_FEATURES as FeatId, 0..3),
+                n,
+            );
+            (params, feats).prop_map(move |(params, feats)| {
+                let model = CrfModel {
+                    n_labels: l,
+                    n_features: N_FEATURES,
+                    params,
+                };
+                (model, feats)
+            })
+        })
+    }
+
+    /// The labelling with the highest sequence score, by enumeration.
+    fn brute_argmax(m: &CrfModel, feats: &[Vec<FeatId>]) -> (Vec<LabelId>, f64) {
+        let n = feats.len();
+        let l = m.n_labels;
+        let mut best = (Vec::new(), f64::NEG_INFINITY);
+        for mut code in 0..l.pow(n as u32) {
+            let labels: Vec<LabelId> = (0..n)
+                .map(|_| {
+                    let y = code % l;
+                    code /= l;
+                    y
+                })
+                .collect();
+            let s = m.sequence_score(feats, &labels);
+            if s > best.1 {
+                best = (labels, s);
+            }
+        }
+        best
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The exp-space overlay is the log-space marginal of the
+        /// decoded label, and scoring leaves the decode as it was.
+        #[test]
+        fn scaled_confidence_matches_log_space_marginals(
+            (m, feats) in (0..2u8).prop_flat_map(|small| if small == 1 {
+                random_model(2..=3, 1..=6)
+            } else {
+                random_model(2..=13, 1..=60)
+            }),
+        ) {
+            let labels = viterbi(&m, &feats);
+            let mut em = emissions(m.view(), &feats);
+            let scaled = scaled_confidence(m.view(), &mut em, &labels);
+            prop_assert!(scaled.is_some(), "±20 weights stay inside exp range");
+            let (decoded, confidence) = viterbi_with_confidence(&m, &feats);
+            prop_assert_eq!(&decoded, &labels);
+            prop_assert_eq!(Some(&confidence), scaled.as_ref());
+            // The log-space oracle rounds at the magnitude of its
+            // alphas, so its own error grows with n·|log Z|: at ±20
+            // weights and n near 60, |log Z| reaches ~1,500 and the
+            // oracle is off by up to ~2e-12 while the exp-space value
+            // stays within ~3e-15 of a 60-digit reference.
+            let marg = marginals(&m, &feats);
+            let tol = 1e-12 + feats.len() as f64 * marg.log_z.abs() * f64::EPSILON;
+            for (t, (&y, &c)) in labels.iter().zip(&confidence).enumerate() {
+                prop_assert!(
+                    (c - marg.node[t][y]).abs() < tol,
+                    "conf[{}] = {} vs marginal {} (tolerance {:e})", t, c, marg.node[t][y], tol
+                );
+            }
+            if feats.len() <= 6 && m.n_labels <= 3 {
+                let (best_labels, best) = brute_argmax(&m, &feats);
+                let score = m.sequence_score(&feats, &labels);
+                prop_assert!(
+                    labels == best_labels || (score - best).abs() < 1e-9,
+                    "viterbi {:?} ({}) vs brute force {:?} ({})", labels, score, best_labels, best
+                );
+            }
+        }
+    }
+
+    /// The `crf.scaled.fallback` count so far.
+    fn fallback_count() -> u64 {
+        pae_obs::metrics_snapshot()
+            .into_iter()
+            .find(|(k, _)| k.name == "crf.scaled.fallback")
+            .map_or(0, |(_, v)| match v {
+                pae_obs::MetricValue::Counter(c) => c,
+                _ => 0,
+            })
+    }
+
+    #[test]
+    fn underflowing_transitions_fall_back_to_log_space() {
+        // exp(−1000) is 0 in f64: every exp-space path has weight 0.
+        let mut m = toy_model();
+        let t = m.trans_offset();
+        m.params[t..t + 4].fill(-1000.0);
+        let feats = vec![vec![0], vec![1], vec![0, 1], vec![]];
+        let labels = viterbi(&m, &feats);
+        let mut em = emissions(m.view(), &feats);
+        assert!(scaled_confidence(m.view(), &mut em, &labels).is_none());
+
+        let was_enabled = pae_obs::enabled();
+        pae_obs::set_enabled(true);
+        let before = fallback_count();
+        let (decoded, confidence) = viterbi_with_confidence(&m, &feats);
+        let after = fallback_count();
+        pae_obs::set_enabled(was_enabled);
+
+        assert_eq!(decoded, labels);
+        assert!(after > before, "fallback counted: {before} -> {after}");
+        let marg = marginals(&m, &feats);
+        for (t, (&y, &c)) in labels.iter().zip(&confidence).enumerate() {
+            assert!(c.is_finite() && c > 0.0, "conf[{t}] = {c}");
+            assert_eq!(c.to_bits(), marg.node[t][y].to_bits(), "conf[{t}]");
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! * [`features`] — string feature templates + interning
 //!   ([`features::FeatureIndex`], [`features::FeatureExtractor`]);
 //! * [`model`] — parameter storage and scoring ([`CrfModel`]);
-//! * [`inference`] — log-space forward/backward, marginals, Viterbi;
+//! * [`inference`] — forward/backward and marginals (log space for
+//!   training; scaled exp space for served confidence, with log space
+//!   as its fallback), Viterbi;
 //! * [`train`] — negative log-likelihood objective and gradient;
 //! * [`lbfgs`] — generic L-BFGS minimizer with backtracking line search;
 //! * [`owlqn`] — OWL-QN extension for L1 regularization.

@@ -374,9 +374,15 @@ mod tests {
         let _l = test_lock();
         set_prof_enabled(true);
         let before = prof_stats();
+        // The peak is read on this thread's window: the process-wide
+        // live bytes also count other threads' frees of blocks they
+        // allocated before profiling was on, which can hold them below
+        // zero.
+        let window = span_alloc_begin().expect("profiling is on");
         let v: Vec<u8> = Vec::with_capacity(128 * 1024);
         let mid = prof_stats();
         drop(v);
+        let (_, _, window_peak) = span_alloc_end(window);
         let after = prof_stats();
         set_prof_enabled(false);
         assert!(
@@ -390,10 +396,7 @@ mod tests {
             after.free_bytes >= before.free_bytes + 128 * 1024,
             "free bytes counted"
         );
-        assert!(
-            after.peak_live_bytes >= 128 * 1024,
-            "peak live tracked the buffer"
-        );
+        assert!(window_peak >= 128 * 1024, "peak live tracked the buffer");
     }
 
     #[test]
