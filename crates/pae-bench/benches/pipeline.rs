@@ -96,32 +96,9 @@ fn bench_bootstrap(c: &mut Criterion) {
 
 criterion_group!(benches, bench_seed, bench_cleaning, bench_bootstrap);
 
-/// Custom `main` (instead of `criterion_main!`): after the text report,
-/// merge the machine-readable results into `BENCH_pipeline.json` at the
-/// repo root so perf runs can be archived and diffed (entries from
-/// other bench targets, e.g. `crf_micro`, are preserved). Only in full
-/// `--bench` mode — the `cargo test` smoke pass must not dirty the
-/// tree.
+/// Runs the groups, then merges full-mode results into the
+/// `BENCH_pipeline.json` ledger (`pae_bench::finish_benches`).
 fn main() {
     benches();
-    let results = criterion::take_results();
-    // Quick (smoke) samples are not measurements — never persist them.
-    if !std::env::args().any(|a| a == "--bench") || results.iter().any(|r| r.quick) {
-        return;
-    }
-    let records: Vec<pae_bench::BenchRecord> = results
-        .iter()
-        .map(|r| pae_bench::BenchRecord {
-            id: r.id.clone(),
-            samples: r.samples as u64,
-            min_ns: r.min_ns,
-            median_ns: r.median_ns,
-            mean_ns: r.mean_ns,
-        })
-        .collect();
-    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    match pae_bench::update_bench_json(root, &records) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH_pipeline.json: {e}"),
-    }
+    pae_bench::finish_benches();
 }

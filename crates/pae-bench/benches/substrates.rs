@@ -2,7 +2,7 @@
 //! tokenization, PoS tagging, CRF training/decoding, word2vec, and the
 //! BiLSTM forward pass.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, Criterion, Throughput};
 
 use pae_core::parse_corpus;
 use pae_crf::{train, FeatureExtractor, FeatureIndex, Instance, TrainConfig};
@@ -219,4 +219,10 @@ criterion_group!(
     bench_neural,
     bench_corpus
 );
-criterion_main!(benches);
+
+/// Runs the groups, then merges full-mode results into the
+/// `BENCH_pipeline.json` ledger (`pae_bench::finish_benches`).
+fn main() {
+    benches();
+    pae_bench::finish_benches();
+}

@@ -296,6 +296,35 @@ pub fn stage_timing_report(outcome: &BootstrapOutcome) -> String {
     )
 }
 
+/// The end of every bench target's `main`, after its Criterion groups
+/// ran: merges the full-mode results into the repo-root
+/// `BENCH_pipeline.json` ledger ([`update_bench_json`]; entries from
+/// other bench targets are kept). Smoke mode (no `--bench`, or
+/// `PAE_BENCH_QUICK=1`) writes nothing, so `cargo test` and CI smoke
+/// runs leave the tree untouched.
+pub fn finish_benches() {
+    let results = criterion::take_results();
+    // Quick (smoke) samples are not measurements — never persist them.
+    if !std::env::args().any(|a| a == "--bench") || results.iter().any(|r| r.quick) {
+        return;
+    }
+    let records: Vec<BenchRecord> = results
+        .iter()
+        .map(|r| BenchRecord {
+            id: r.id.clone(),
+            samples: r.samples as u64,
+            min_ns: r.min_ns,
+            median_ns: r.median_ns,
+            mean_ns: r.mean_ns,
+        })
+        .collect();
+    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    match update_bench_json(root, &records) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("failed to write BENCH_pipeline.json: {e}"),
+    }
+}
+
 /// One benchmark's machine-readable summary, as stored in the
 /// repo-root `BENCH_pipeline.json` ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]

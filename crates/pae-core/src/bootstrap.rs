@@ -19,7 +19,7 @@ use crate::tagger::{
 };
 use crate::timing::{span_timed, CrfStageTimings, PrepTimings, StageTimings};
 use crate::trainset::{generate_training_set, LabelSpace};
-use crate::types::{AttrTable, Triple};
+use crate::types::{intersect_sorted, merge_sorted, AttrTable, Merged, Triple};
 
 /// State after one Tagger–Cleaner cycle.
 #[derive(Debug, Clone)]
@@ -98,7 +98,7 @@ pub fn seed_triples(seed: &Seed) -> Vec<Triple> {
         .iter()
         .map(|p| Triple::new(p.product, p.attr.clone(), p.value.clone()))
         .collect();
-    out.sort_by(|a, b| (a.product, &a.attr, &a.value).cmp(&(b.product, &b.attr, &b.value)));
+    out.sort();
     out.dedup();
     out
 }
@@ -180,17 +180,7 @@ impl BootstrapPipeline {
         let label_space = LabelSpace::new(top_attrs(&diversified, cfg.label_space_cap));
 
         // Category-level extra values (diversified additions).
-        let extra_values: Vec<(String, String)> = diversified
-            .attrs()
-            .iter()
-            .flat_map(|attr| {
-                diversified
-                    .values_of(attr)
-                    .into_iter()
-                    .map(|v| (attr.to_string(), v.to_owned()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let extra_values = diversified.pairs();
 
         let word_sentences = corpus.word_sentences();
         // One CRF training context for the whole run: the per-sentence
@@ -241,9 +231,7 @@ impl BootstrapPipeline {
             // including seed errors — not just this cycle's additions.
             let mut pool = triples.clone();
             pool.extend(candidates);
-            pool.sort_by(|a, b| {
-                (a.product, &a.attr, &a.value).cmp(&(b.product, &b.attr, &b.value))
-            });
+            pool.sort();
             pool.dedup();
 
             // Cleaning (lines 14–20). The traced variants return the
@@ -385,8 +373,8 @@ impl BootstrapPipeline {
     }
 }
 
-/// [`train_and_extract_timed`]'s result: the candidates plus the wall
-/// clock of the train and extract stages.
+/// [`train_and_extract_timed_with`]'s result: the candidates plus the
+/// wall clock of the train and extract stages.
 #[derive(Debug)]
 pub struct TrainExtract {
     /// Candidate triples, sorted and deduplicated.
@@ -429,25 +417,8 @@ pub fn train_and_extract(
     space: &LabelSpace,
     cfg: &PipelineConfig,
 ) -> Vec<Triple> {
-    train_and_extract_timed(corpus, triples, extra_values, space, cfg).candidates
-}
-
-/// As [`train_and_extract`], but also reports per-stage wall clock.
-pub fn train_and_extract_timed(
-    corpus: &Corpus,
-    triples: &[Triple],
-    extra_values: &[(String, String)],
-    space: &LabelSpace,
-    cfg: &PipelineConfig,
-) -> TrainExtract {
-    train_and_extract_timed_with(
-        corpus,
-        triples,
-        extra_values,
-        space,
-        cfg,
-        &mut CrfTrainContext::new(),
-    )
+    let mut crf_ctx = CrfTrainContext::new();
+    train_and_extract_timed_with(corpus, triples, extra_values, space, cfg, &mut crf_ctx).candidates
 }
 
 /// Trains one backend under `train`/`extract` spans and decodes the
@@ -467,13 +438,10 @@ fn one_backend(
     let (candidates, scores, extract_time) = {
         let span = pae_obs::span_fields("extract", vec![("backend".into(), backend.into())]);
         if pae_obs::provenance_enabled() {
-            let scored = extract_candidates_scored(&tagger, corpus, space);
-            let mut candidates = Vec::with_capacity(scored.len());
-            let mut confs = Vec::with_capacity(scored.len());
-            for (t, c) in scored {
-                candidates.push(t);
-                confs.push(c);
-            }
+            let (candidates, confs): (Vec<Triple>, Vec<f64>) =
+                extract_candidates_scored(&tagger, corpus, space)
+                    .into_iter()
+                    .unzip();
             let scores = if backend == "rnn" {
                 CandidateScores {
                     rnn: confs,
@@ -500,8 +468,9 @@ fn one_backend(
     }
 }
 
-/// As [`train_and_extract_timed`], reusing `crf_ctx`'s feature cache
-/// across calls (the bootstrap loop holds one context per run).
+/// As [`train_and_extract`], but also reports per-stage wall clock, and
+/// reuses `crf_ctx`'s feature cache across calls (the bootstrap loop
+/// holds one context per run).
 pub fn train_and_extract_timed_with(
     corpus: &Corpus,
     triples: &[Triple],
@@ -565,23 +534,6 @@ pub fn train_and_extract_timed_with(
     }
 }
 
-/// Intersection of two sorted, deduplicated triple lists.
-fn intersect_sorted(a: Vec<Triple>, b: &[Triple]) -> Vec<Triple> {
-    let key = |t: &Triple| (t.product, t.attr.clone(), t.value.clone());
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let mut j = 0;
-    for t in a {
-        let k = key(&t);
-        while j < b.len() && key(&b[j]) < k {
-            j += 1;
-        }
-        if j < b.len() && key(&b[j]) == k {
-            out.push(t);
-        }
-    }
-    out
-}
-
 /// Ensemble intersection of the CRF arm (`a`) and RNN arm (`b`).
 ///
 /// Without scores this is exactly [`intersect_sorted`]. With scores
@@ -597,35 +549,22 @@ fn intersect_backends(
     let (Some(sa), Some(sb)) = (a_scores, b.scores) else {
         return (intersect_sorted(a_candidates, &b.candidates), None);
     };
-    let key = |t: &Triple| (t.product, t.attr.clone(), t.value.clone());
     let mut out = Vec::with_capacity(a_candidates.len().min(b.candidates.len()));
     let mut scores = CandidateScores::default();
-    let mut bi = b.candidates.into_iter().enumerate().peekable();
-    for (i, t) in a_candidates.into_iter().enumerate() {
-        let k = key(&t);
-        while let Some((j, bt)) = bi.peek() {
-            if key(bt) < k {
-                scores
-                    .ensemble_dropped
-                    .push((bt.clone(), "rnn", sb.rnn[*j]));
-                bi.next();
-            } else {
-                break;
-            }
-        }
-        match bi.peek() {
-            Some((j, bt)) if key(bt) == k => {
-                scores.crf.push(sa.crf[i]);
-                scores.rnn.push(sb.rnn[*j]);
+    merge_sorted(
+        a_candidates.into_iter().zip(sa.crf),
+        b.candidates.into_iter().zip(sb.rnn),
+        |(x, _), (y, _)| x.cmp(y),
+        |m| match m {
+            Merged::Both((t, crf), (_, rnn)) => {
+                scores.crf.push(crf);
+                scores.rnn.push(rnn);
                 out.push(t);
-                bi.next();
             }
-            _ => scores.ensemble_dropped.push((t, "crf", sa.crf[i])),
-        }
-    }
-    for (j, bt) in bi {
-        scores.ensemble_dropped.push((bt, "rnn", sb.rnn[j]));
-    }
+            Merged::OnlyA((t, crf)) => scores.ensemble_dropped.push((t, "crf", crf)),
+            Merged::OnlyB((t, rnn)) => scores.ensemble_dropped.push((t, "rnn", rnn)),
+        },
+    );
     (out, Some(scores))
 }
 
@@ -755,17 +694,6 @@ mod tests {
         cfg.stop_when_gain_below = 10_000; // absurdly high: stop after cycle 1
         let outcome = BootstrapPipeline::new(cfg).run_on_corpus(&dataset, &corpus);
         assert_eq!(outcome.snapshots.len(), 1, "loop should stop immediately");
-    }
-
-    #[test]
-    fn intersect_sorted_is_set_intersection() {
-        let mk = |p: u32, v: &str| Triple::new(p, "a", v);
-        let a = vec![mk(0, "x"), mk(1, "y"), mk(2, "z")];
-        let b = vec![mk(0, "x"), mk(2, "z"), mk(3, "w")];
-        let got = intersect_sorted(a, &b);
-        assert_eq!(got, vec![mk(0, "x"), mk(2, "z")]);
-        assert!(intersect_sorted(Vec::new(), &b).is_empty());
-        assert!(intersect_sorted(vec![mk(9, "q")], &[]).is_empty());
     }
 
     #[test]

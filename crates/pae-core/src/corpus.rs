@@ -1,6 +1,6 @@
 //! Corpus construction: product pages → tagged sentences + table pairs.
 
-use pae_html::{extract_tables, extract_text, parse, TextOptions};
+use pae_html::{extract_tables, extract_text, parse, Node, TextOptions};
 use pae_synth::Dataset;
 use pae_text::{HmmPosTagger, LexiconPosTagger, PosTagger, Sentence, SentenceSplitter, Tokenizer};
 
@@ -102,25 +102,9 @@ pub fn parse_corpus_with(dataset: &Dataset, backend: PosBackend) -> Corpus {
     let mut table_pairs = Vec::new();
     for page in &dataset.pages {
         let forest = parse(&page.html);
-
-        // Title + free text (tables excluded — they are the seed).
-        let mut sentences = Vec::new();
-        for title in pae_html::dom::find_all(&forest, "title") {
-            let t = title.text_content();
-            if !t.is_empty() {
-                sentences.push(Sentence::analyze(&t, tokenizer.as_ref(), tagger.as_ref()));
-            }
-        }
-        let text = extract_text(&forest, &TextOptions::default());
-        for raw in splitter.split(&text) {
-            let s = Sentence::analyze(&raw, tokenizer.as_ref(), tagger.as_ref());
-            if !s.is_empty() {
-                sentences.push(s);
-            }
-        }
         products.push(ProductText {
             id: page.id,
-            sentences,
+            sentences: analyze_page(&forest, &splitter, tokenizer.as_ref(), tagger.as_ref()),
         });
 
         // Dictionary tables.
@@ -141,6 +125,33 @@ pub fn parse_corpus_with(dataset: &Dataset, backend: PosBackend) -> Corpus {
         products,
         table_pairs,
     }
+}
+
+/// One page's free text as analyzed sentences: the `<title>` content
+/// first, then the split body text; dictionary tables (the seed) are
+/// left out. Corpus parsing and the served extractor both read pages
+/// through this function.
+pub fn analyze_page(
+    forest: &[Node],
+    splitter: &SentenceSplitter,
+    tokenizer: &dyn Tokenizer,
+    tagger: &dyn PosTagger,
+) -> Vec<Sentence> {
+    let mut sentences = Vec::new();
+    for title in pae_html::dom::find_all(forest, "title") {
+        let t = title.text_content();
+        if !t.is_empty() {
+            sentences.push(Sentence::analyze(&t, tokenizer, tagger));
+        }
+    }
+    let text = extract_text(forest, &TextOptions::default());
+    for raw in splitter.split(&text) {
+        let s = Sentence::analyze(&raw, tokenizer, tagger);
+        if !s.is_empty() {
+            sentences.push(s);
+        }
+    }
+    sentences
 }
 
 /// Tokenize-and-rejoin normalization (same convention as the truth).

@@ -113,7 +113,7 @@ impl Corrections {
                     t.value = to.to_owned();
                 }
             }
-            out.sort_by(|a, b| (a.product, &a.attr, &a.value).cmp(&(b.product, &b.attr, &b.value)));
+            out.sort();
             out.dedup();
         }
         out

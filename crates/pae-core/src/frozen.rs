@@ -14,29 +14,32 @@
 //! on-disk form, and loading that form is the one way a
 //! [`FrozenExtractor`] is built ([`LoadedBundle::extractor`];
 //! [`FrozenModel::extractor`] encodes and loads in memory). The
-//! extractor's page pipeline mirrors [`parse_corpus_with`] exactly
-//! (title first, then split free text, tables excluded), so frozen
-//! extraction over a training page agrees with what the in-loop tagger
-//! saw.
+//! extractor runs the training path's own functions on each page: it
+//! reads the page with [`analyze_page`], the function
+//! [`parse_corpus_with`] reads every corpus page with (title first,
+//! then split free text, tables excluded), and decodes it with
+//! [`decode_sentences`], the decoder the bootstrap loop extracts with.
+//! An ensemble merges its arms with the loop's intersection. So frozen
+//! extraction over a training page sees what the in-loop tagger saw.
 //!
 //! [`LoadedBundle::extractor`]: crate::bundle::LoadedBundle::extractor
 //! [`parse_corpus_with`]: crate::corpus::parse_corpus_with
 
 use pae_fst::Fst;
-use pae_html::{extract_text, parse, TextOptions};
+use pae_html::parse;
 use pae_synth::{Dataset, Language};
-use pae_text::{Lexicon, LexiconPosTagger, PosTag, Sentence, SentenceSplitter, Tokenizer};
+use pae_text::{Lexicon, LexiconPosTagger, SentenceSplitter, Tokenizer};
 
 use crate::bootstrap::BootstrapOutcome;
 use crate::bundle::{encode, LoadedBundle};
 use crate::cleaning::veto::{per_triple_veto, unpopular_blocklist};
 use crate::cleaning::{freeze_semantic, SemanticFreeze};
 use crate::config::{PipelineConfig, TaggerKind};
-use crate::corpus::{Corpus, PosBackend};
+use crate::corpus::{analyze_page, Corpus, PosBackend};
 use crate::quality::{PageObservation, ReferenceBuilder, ReferenceStats};
-use crate::tagger::{extract_candidates, TrainedTagger};
-use crate::trainset::{decode_spans, generate_training_set, LabelSpace};
-use crate::types::Triple;
+use crate::tagger::{decode_sentences, extract_candidates, TrainedTagger};
+use crate::trainset::{generate_training_set, LabelSpace};
+use crate::types::{intersect_sorted, Triple};
 
 /// Why a run could not be frozen.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,19 +173,7 @@ impl FrozenModel {
         // Diversified category-level extras, exactly as the loop builds
         // them — the serving tagger trains on the same labelled slice
         // the last in-loop tagger would have.
-        let extra_values: Vec<(String, String)> = outcome
-            .diversified
-            .attrs()
-            .iter()
-            .flat_map(|attr| {
-                outcome
-                    .diversified
-                    .values_of(attr)
-                    .into_iter()
-                    .map(|v| (attr.to_string(), v.to_owned()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let extra_values = outcome.diversified.pairs();
         let labeled = generate_training_set(corpus, &final_triples, space, &extra_values);
         if labeled.is_empty() {
             return Err(FreezeError::NoTrainingData);
@@ -202,10 +193,8 @@ impl FrozenModel {
         // record which pairs the popularity ranking rejects.
         let veto_blocklist = if config.use_veto {
             let mut pool = final_triples.clone();
-            pool.extend(extract_with(&backend, corpus, space));
-            pool.sort_by(|a, b| {
-                (a.product, &a.attr, &a.value).cmp(&(b.product, &b.attr, &b.value))
-            });
+            pool.extend(backend.decode(|t| extract_candidates(t, corpus, space)));
+            pool.sort();
             pool.dedup();
             pool.retain(|t| per_triple_veto(&t.value, config.max_value_chars).is_none());
             unpopular_blocklist(&pool, config.unpopular_keep)
@@ -305,68 +294,20 @@ pub(crate) enum ExtractBackend {
     Ensemble(Box<TrainedTagger>, Box<TrainedTagger>),
 }
 
-/// Decodes one page's sentences into candidate triples (sorted,
-/// deduplicated) with one backend.
-fn decode_sentences(
-    tagger: &TrainedTagger,
-    product: u32,
-    sentences: &[Sentence],
-    space: &LabelSpace,
-) -> Vec<Triple> {
-    let mut out = Vec::new();
-    for (sent_idx, sentence) in sentences.iter().enumerate() {
-        let words: Vec<String> = sentence.words().map(str::to_owned).collect();
-        if words.is_empty() {
-            continue;
-        }
-        let pos: Vec<PosTag> = sentence.tokens.iter().map(|t| t.pos).collect();
-        let labels = tagger.tag(&words, &pos, sent_idx);
-        for (attr, range) in decode_spans(&labels, space) {
-            let value = words[range].join(" ");
-            out.push(Triple::new(product, space.attrs()[attr].clone(), value));
+impl ExtractBackend {
+    /// Decodes with each arm and merges: one backend's candidates as
+    /// they come, an ensemble's arms intersected. `decode` must return
+    /// its candidates sorted and deduplicated.
+    fn decode(&self, mut decode: impl FnMut(&TrainedTagger) -> Vec<Triple>) -> Vec<Triple> {
+        match self {
+            ExtractBackend::One(t) => decode(t),
+            ExtractBackend::Ensemble(a, b) => {
+                let xa = decode(a);
+                let xb = decode(b);
+                intersect_sorted(xa, &xb)
+            }
         }
     }
-    out.sort_by(|a, b| (a.product, &a.attr, &a.value).cmp(&(b.product, &b.attr, &b.value)));
-    out.dedup();
-    out
-}
-
-/// [`decode_sentences`] with a per-span confidence overlay: identical
-/// candidate triples (the labels come from
-/// [`TrainedTagger::tag_scored`], which decodes exactly as
-/// [`TrainedTagger::tag`]), plus the mean token confidence of each
-/// decoded span appended to `confidences` in decode order. Confidence
-/// is observational only — it never affects what is extracted.
-fn decode_sentences_observed(
-    tagger: &TrainedTagger,
-    product: u32,
-    sentences: &[Sentence],
-    space: &LabelSpace,
-    confidences: &mut Vec<f64>,
-) -> Vec<Triple> {
-    let mut out = Vec::new();
-    for (sent_idx, sentence) in sentences.iter().enumerate() {
-        let words: Vec<String> = sentence.words().map(str::to_owned).collect();
-        if words.is_empty() {
-            continue;
-        }
-        let pos: Vec<PosTag> = sentence.tokens.iter().map(|t| t.pos).collect();
-        let (labels, scores) = tagger.tag_scored(&words, &pos, sent_idx);
-        for (attr, range) in decode_spans(&labels, space) {
-            let span = &scores[range.clone()];
-            let conf = if span.is_empty() {
-                0.0
-            } else {
-                span.iter().sum::<f64>() / span.len() as f64
-            };
-            confidences.push(conf);
-            let value = words[range].join(" ");
-            out.push(Triple::new(product, space.attrs()[attr].clone(), value));
-        }
-    }
-    out.sort_by(|a, b| (a.product, &a.attr, &a.value).cmp(&(b.product, &b.attr, &b.value)));
-    out.dedup();
-    out
 }
 
 /// Builds [`ReferenceStats`] for a freshly frozen model by running the
@@ -387,36 +328,6 @@ fn compute_reference(model: &FrozenModel, dataset: &Dataset) -> ReferenceStats {
         builder.observe_page(triples, obs);
     }
     builder.finish()
-}
-
-/// Corpus-wide extraction with freshly trained taggers (freeze-time
-/// rule-3 statistics).
-fn extract_with(backend: &ExtractBackend, corpus: &Corpus, space: &LabelSpace) -> Vec<Triple> {
-    match backend {
-        ExtractBackend::One(t) => extract_candidates(t, corpus, space),
-        ExtractBackend::Ensemble(a, b) => {
-            let xa = extract_candidates(a, corpus, space);
-            let xb = extract_candidates(b, corpus, space);
-            intersect(xa, &xb)
-        }
-    }
-}
-
-/// Intersection of two sorted, deduplicated triple lists.
-fn intersect(a: Vec<Triple>, b: &[Triple]) -> Vec<Triple> {
-    let key = |t: &Triple| (t.product, t.attr.clone(), t.value.clone());
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let mut j = 0;
-    for t in a {
-        let k = key(&t);
-        while j < b.len() && key(&b[j]) < k {
-            j += 1;
-        }
-        if j < b.len() && key(&b[j]) == k {
-            out.push(t);
-        }
-    }
-    out
 }
 
 /// A loaded frozen model, ready to extract triples from product
@@ -443,31 +354,24 @@ impl FrozenExtractor {
         self.space.attrs()
     }
 
-    /// Extracts cleaned triples from one product page's HTML.
-    ///
-    /// The page pipeline mirrors corpus parsing exactly: `<title>`
-    /// content first, then the split free text, dictionary tables
-    /// excluded. Candidates then pass the per-triple veto rules, the
-    /// frozen rule-3 blocklist, and the frozen semantic filter.
+    /// Extracts cleaned triples from one product page's HTML: the
+    /// triples of [`extract_page_observed`](Self::extract_page_observed),
+    /// the one extraction body.
     pub fn extract_page(&self, product: u32, html: &str) -> Vec<Triple> {
-        let _span = pae_obs::span("frozen.extract_page");
-        let sentences = self.page_sentences(html);
-        let candidates = match &self.backend {
-            ExtractBackend::One(t) => decode_sentences(t, product, &sentences, &self.space),
-            ExtractBackend::Ensemble(a, b) => {
-                let xa = decode_sentences(a, product, &sentences, &self.space);
-                let xb = decode_sentences(b, product, &sentences, &self.space);
-                intersect(xa, &xb)
-            }
-        };
-        candidates.into_iter().filter(|t| self.keeps(t)).collect()
+        self.extract_page_observed(product, html).0
     }
 
-    /// [`extract_page`](Self::extract_page) with a quality-observation
-    /// overlay: byte-identical triples (same tokenize → tag → decode →
-    /// clean pipeline; the scored tagger decodes exactly as the plain
-    /// one), plus token/OOV counts and per-backend span confidences for
-    /// the quality monitor. Observation is strictly read-only — nothing
+    /// Extracts cleaned triples from one product page's HTML, plus a
+    /// quality-observation overlay: token/OOV counts and per-backend
+    /// span confidences for the quality monitor.
+    ///
+    /// The page is read as corpus parsing reads it ([`analyze_page`]:
+    /// `<title>` content first, then the split free text, dictionary
+    /// tables excluded) and decoded with [`decode_sentences`]; an
+    /// ensemble keeps the triples both arms produced. Candidates then
+    /// pass the per-triple veto rules, the frozen rule-3 blocklist, and
+    /// the frozen semantic filter. Observation is strictly read-only —
+    /// the scored tagger decodes exactly as the plain one, and nothing
     /// recorded here feeds back into extraction.
     pub fn extract_page_observed(
         &self,
@@ -475,7 +379,12 @@ impl FrozenExtractor {
         html: &str,
     ) -> (Vec<Triple>, PageObservation) {
         let _span = pae_obs::span("frozen.extract_page");
-        let sentences = self.page_sentences(html);
+        let sentences = analyze_page(
+            &parse(html),
+            &self.splitter,
+            self.tokenizer.as_ref(),
+            &self.pos_tagger,
+        );
         let lexicon = self.pos_tagger.lexicon();
         let mut tokens = 0u64;
         let mut oov_tokens = 0u64;
@@ -488,24 +397,15 @@ impl FrozenExtractor {
             }
         }
         let mut confidences: Vec<Vec<f64>> = Vec::new();
-        let candidates = match &self.backend {
-            ExtractBackend::One(t) => {
-                let mut confs = Vec::new();
-                let out =
-                    decode_sentences_observed(t, product, &sentences, &self.space, &mut confs);
-                confidences.push(confs);
-                out
-            }
-            ExtractBackend::Ensemble(a, b) => {
-                let mut ca = Vec::new();
-                let mut cb = Vec::new();
-                let xa = decode_sentences_observed(a, product, &sentences, &self.space, &mut ca);
-                let xb = decode_sentences_observed(b, product, &sentences, &self.space, &mut cb);
-                confidences.push(ca);
-                confidences.push(cb);
-                intersect(xa, &xb)
-            }
-        };
+        let candidates = self.backend.decode(|tagger| {
+            let mut confs = Vec::new();
+            let mut out =
+                decode_sentences(tagger, product, &sentences, &self.space, Some(&mut confs));
+            out.sort();
+            out.dedup();
+            confidences.push(confs);
+            out
+        });
         let kept: Vec<Triple> = candidates.into_iter().filter(|t| self.keeps(t)).collect();
         (
             kept,
@@ -533,47 +433,11 @@ impl FrozenExtractor {
         }
     }
 
-    /// The page pipeline shared by the plain and observed extraction
-    /// paths: `<title>` content first, then the split free text,
-    /// dictionary tables excluded (mirrors corpus parsing exactly).
-    fn page_sentences(&self, html: &str) -> Vec<Sentence> {
-        let forest = parse(html);
-        let mut sentences = Vec::new();
-        for title in pae_html::dom::find_all(&forest, "title") {
-            let t = title.text_content();
-            if !t.is_empty() {
-                sentences.push(Sentence::analyze(
-                    &t,
-                    self.tokenizer.as_ref(),
-                    &self.pos_tagger,
-                ));
-            }
-        }
-        let text = extract_text(&forest, &TextOptions::default());
-        for raw in self.splitter.split(&text) {
-            let s = Sentence::analyze(&raw, self.tokenizer.as_ref(), &self.pos_tagger);
-            if !s.is_empty() {
-                sentences.push(s);
-            }
-        }
-        sentences
-    }
-
-    /// Extracts from many pages concurrently on the [`pae_runtime`]
-    /// worker pool. Pages are independent, so the output is the
-    /// concatenation of [`extract_page`](Self::extract_page) results in
-    /// input order, at any thread count.
-    pub fn extract_pages(&self, pages: &[(u32, String)]) -> Vec<Triple> {
-        let per_page =
-            pae_runtime::parallel_map(pages, |_, (id, html)| self.extract_page(*id, html));
-        per_page.into_iter().flatten().collect()
-    }
-
     /// Batch variant of
-    /// [`extract_page_observed`](Self::extract_page_observed): per-page
-    /// `(triples, observation)` pairs in input order. Concatenating the
-    /// triples reproduces [`extract_pages`](Self::extract_pages)
-    /// byte for byte.
+    /// [`extract_page_observed`](Self::extract_page_observed), run
+    /// concurrently on the [`pae_runtime`] worker pool: per-page
+    /// `(triples, observation)` pairs in input order. Pages are
+    /// independent, so the output is the same at any thread count.
     pub fn extract_pages_observed(
         &self,
         pages: &[(u32, String)],
@@ -657,30 +521,35 @@ mod tests {
             .take(16)
             .map(|p| (p.id, p.html.clone()))
             .collect();
-        let one = pae_runtime::with_jobs(1, || extractor.extract_pages(&pages));
-        let four = pae_runtime::with_jobs(4, || extractor.extract_pages(&pages));
+        let one = pae_runtime::with_jobs(1, || extractor.extract_pages_observed(&pages));
+        let four = pae_runtime::with_jobs(4, || extractor.extract_pages_observed(&pages));
         assert_eq!(one, four);
-        assert!(!one.is_empty());
+        assert!(one.iter().any(|(triples, _)| !triples.is_empty()));
     }
 
+    /// The confidence sink is a read-only overlay: with it the decoder
+    /// yields the triples it yields without, one confidence each.
     #[test]
     fn observed_extraction_is_byte_identical_to_plain() {
         let (dataset, _, model) = frozen_fixture();
-        let extractor = model.extractor().unwrap();
-        assert_eq!(extractor.backend_names(), vec!["crf"]);
+        let ex = model.extractor().unwrap();
+        let ExtractBackend::One(tagger) = &ex.backend else {
+            panic!("expected one backend");
+        };
         let mut any_confidence = false;
         for page in dataset.pages.iter().take(12) {
-            let plain = extractor.extract_page(page.id, &page.html);
-            let (observed, obs) = extractor.extract_page_observed(page.id, &page.html);
-            assert_eq!(plain, observed, "observation changed extraction");
-            assert!(obs.tokens >= obs.oov_tokens);
-            assert!(obs.tokens > 0);
-            assert_eq!(obs.confidences.len(), 1);
+            let forest = parse(&page.html);
+            let sentences =
+                analyze_page(&forest, &ex.splitter, ex.tokenizer.as_ref(), &ex.pos_tagger);
+            let mut confs = Vec::new();
+            let scored = decode_sentences(tagger, page.id, &sentences, &ex.space, Some(&mut confs));
+            let plain = decode_sentences(tagger, page.id, &sentences, &ex.space, None);
+            assert_eq!(plain, scored, "observation changed extraction");
+            let (_, obs) = ex.extract_page_observed(page.id, &page.html);
+            assert!(obs.tokens > 0 && obs.tokens >= obs.oov_tokens);
+            assert_eq!(obs.confidences, vec![confs]);
             for &c in &obs.confidences[0] {
-                assert!(
-                    (0.0..=1.0 + 1e-9).contains(&c),
-                    "confidence {c} out of range"
-                );
+                assert!((0.0..=1.0 + 1e-9).contains(&c), "confidence {c}");
                 any_confidence = true;
             }
         }
@@ -735,12 +604,52 @@ mod tests {
         for kind in [TaggerKind::Rnn, TaggerKind::Ensemble] {
             let mut cfg = quick_config();
             cfg.tagger = kind;
+            // Two epochs (the default) leave the RNN tagging nothing.
+            cfg.rnn.epochs = 10;
             let outcome = BootstrapPipeline::new(cfg.clone()).run_on_corpus(&dataset, &corpus);
             let model = FrozenModel::freeze(&dataset, &corpus, &outcome, &cfg).expect("freeze");
             let extractor = model.extractor().expect("extractor");
             // Must at least run without error on a page.
             let _ = extractor.extract_page(dataset.pages[0].id, &dataset.pages[0].html);
+            if let FrozenTagger::Ensemble { crf, rnn } = &model.tagger {
+                assert_ensemble_serves_its_arms_intersection(&dataset, &model, crf, rnn);
+            }
         }
+    }
+
+    /// The served ensemble keeps exactly the triples both arms serve
+    /// alone (the same model with `tagger` set to one arm), in triple
+    /// order, and reports each arm's confidences as that arm does.
+    fn assert_ensemble_serves_its_arms_intersection(
+        dataset: &Dataset,
+        model: &FrozenModel,
+        crf: &FrozenTagger,
+        rnn: &FrozenTagger,
+    ) {
+        let arm = |tagger: &FrozenTagger| {
+            FrozenModel {
+                tagger: tagger.clone(),
+                ..model.clone()
+            }
+            .extractor()
+            .expect("arm extractor")
+        };
+        let (ensemble, crf, rnn) = (model.extractor().unwrap(), arm(crf), arm(rnn));
+        let mut n_kept = 0;
+        for page in &dataset.pages {
+            let serve = |ex: &FrozenExtractor| ex.extract_page_observed(page.id, &page.html);
+            let ((kept, obs), (crf_kept, crf_obs), (rnn_kept, rnn_obs)) =
+                (serve(&ensemble), serve(&crf), serve(&rnn));
+            let both: Vec<Triple> = crf_kept
+                .into_iter()
+                .filter(|t| rnn_kept.contains(t))
+                .collect();
+            assert_eq!(kept, both, "page {}", page.id);
+            let arms = [crf_obs.confidences, rnn_obs.confidences].concat();
+            assert_eq!(obs.confidences, arms, "page {}", page.id);
+            n_kept += kept.len();
+        }
+        assert!(n_kept > 0, "the ensemble served nothing");
     }
 
     #[test]

@@ -40,20 +40,8 @@ pub fn run_specialized(
 ) -> SpecializedRun {
     let space = outcome.label_space.restrict(subset);
     let triples = outcome.final_triples();
-    let extra: Vec<(String, String)> = outcome
-        .diversified
-        .attrs()
-        .iter()
-        .filter(|a| subset.contains(a))
-        .flat_map(|attr| {
-            outcome
-                .diversified
-                .values_of(attr)
-                .into_iter()
-                .map(|v| (attr.to_string(), v.to_owned()))
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let mut extra = outcome.diversified.pairs();
+    extra.retain(|(attr, _)| subset.contains(&attr.as_str()));
     let mut extracted = train_and_extract(corpus, &triples, &extra, &space, cfg);
     // The system's output is cumulative: the specialized tagger replaces
     // the tagging step, not the seed/bootstrap history, so the subset's
@@ -64,7 +52,7 @@ pub fn run_specialized(
             .filter(|t| subset.contains(&t.attr.as_str()))
             .cloned(),
     );
-    extracted.sort_by(|a, b| (a.product, &a.attr, &a.value).cmp(&(b.product, &b.attr, &b.value)));
+    extracted.sort();
     extracted.dedup();
     SpecializedRun {
         attrs: space.attrs().to_vec(),

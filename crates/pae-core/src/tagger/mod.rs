@@ -1,4 +1,6 @@
-//! Tagger backends (§V-B): CRF and BiLSTM behind one interface.
+//! Tagger backends (§V-B): CRF and BiLSTM behind one interface, and
+//! [`decode_sentences`], the one sentence → labels → triples decoder
+//! that the bootstrap loop, freeze and the served extractor all run.
 
 // The two backends legitimately differ a lot in size; boxing the CRF
 // fields would only add indirection on the hot decode path.
@@ -9,7 +11,7 @@ use std::collections::HashMap;
 use pae_crf::data::FeatId;
 use pae_crf::{CrfModel, ExtractScratch, FeatureExtractor, FeatureIndex, Instance};
 use pae_neural::{BiLstmTagger, TaggerConfig};
-use pae_text::PosTag;
+use pae_text::{PosTag, Sentence};
 
 use crate::config::{CrfOptions, RnnOptions};
 use crate::corpus::Corpus;
@@ -244,12 +246,7 @@ impl TrainedTagger {
                 model,
                 extractor,
                 index,
-            } => {
-                let w: Vec<&str> = words.iter().map(String::as_str).collect();
-                let p: Vec<&str> = pos.iter().map(|t| t.mnemonic()).collect();
-                let feats = extractor.encode(&w, &p, sent_idx, index);
-                model.viterbi(&feats)
-            }
+            } => model.viterbi(&crf_features(extractor, index, words, pos, sent_idx)),
             TrainedTagger::Rnn { model } => model.predict(words),
         }
     }
@@ -273,10 +270,7 @@ impl TrainedTagger {
                 extractor,
                 index,
             } => {
-                let w: Vec<&str> = words.iter().map(String::as_str).collect();
-                let p: Vec<&str> = pos.iter().map(|t| t.mnemonic()).collect();
-                let feats = extractor.encode(&w, &p, sent_idx, index);
-                model.viterbi_with_confidence(&feats)
+                model.viterbi_with_confidence(&crf_features(extractor, index, words, pos, sent_idx))
             }
             TrainedTagger::Rnn { model } => {
                 let (labels, confidence) = model.predict_with_confidence(words);
@@ -286,8 +280,62 @@ impl TrainedTagger {
     }
 }
 
-/// Runs the tagger over every sentence of the corpus and decodes the
-/// BIO output into candidate triples (deduplicated).
+/// The CRF encode step [`TrainedTagger::tag`] and
+/// [`TrainedTagger::tag_scored`] share: one sentence's per-position
+/// feature ids in the decode-time index.
+fn crf_features(
+    extractor: &FeatureExtractor,
+    index: &FeatureIndex,
+    words: &[String],
+    pos: &[PosTag],
+    sent_idx: usize,
+) -> Vec<Vec<FeatId>> {
+    let w: Vec<&str> = words.iter().map(String::as_str).collect();
+    let p: Vec<&str> = pos.iter().map(|t| t.mnemonic()).collect();
+    extractor.encode(&w, &p, sent_idx, index)
+}
+
+/// Tags each of a product's sentences and decodes the BIO output into
+/// candidate triples, in decode order (neither sorted nor deduplicated).
+///
+/// Without a `confidences` sink the labels come from
+/// [`TrainedTagger::tag`]. With one they come from
+/// [`TrainedTagger::tag_scored`], which decodes exactly as `tag`, and
+/// each decoded span's mean token confidence is pushed to the sink in
+/// decode order; confidence never changes which triples come out.
+pub fn decode_sentences(
+    tagger: &TrainedTagger,
+    product: u32,
+    sentences: &[Sentence],
+    space: &LabelSpace,
+    mut confidences: Option<&mut Vec<f64>>,
+) -> Vec<Triple> {
+    let mut out = Vec::new();
+    for (sent_idx, sentence) in sentences.iter().enumerate() {
+        let words: Vec<String> = sentence.words().map(str::to_owned).collect();
+        if words.is_empty() {
+            continue;
+        }
+        let pos: Vec<PosTag> = sentence.tokens.iter().map(|t| t.pos).collect();
+        let (labels, scores) = if confidences.is_some() {
+            tagger.tag_scored(&words, &pos, sent_idx)
+        } else {
+            (tagger.tag(&words, &pos, sent_idx), Vec::new())
+        };
+        for (attr, range) in decode_spans(&labels, space) {
+            if let Some(sink) = confidences.as_deref_mut() {
+                let span = &scores[range.clone()];
+                sink.push(span.iter().sum::<f64>() / span.len() as f64);
+            }
+            let value = words[range].join(" ");
+            out.push(Triple::new(product, space.attrs()[attr].clone(), value));
+        }
+    }
+    out
+}
+
+/// Runs [`decode_sentences`] over every product of the corpus: the
+/// candidate triples, sorted and deduplicated.
 ///
 /// Products are tagged concurrently on the [`pae_runtime`] worker pool
 /// (Viterbi decoding is read-only over the trained model); per-product
@@ -299,23 +347,10 @@ pub fn extract_candidates(
     space: &LabelSpace,
 ) -> Vec<Triple> {
     let per_product = pae_runtime::parallel_map(&corpus.products, |_, product| {
-        let mut local = Vec::new();
-        for (sent_idx, sentence) in product.sentences.iter().enumerate() {
-            let words: Vec<String> = sentence.words().map(str::to_owned).collect();
-            if words.is_empty() {
-                continue;
-            }
-            let pos: Vec<PosTag> = sentence.tokens.iter().map(|t| t.pos).collect();
-            let labels = tagger.tag(&words, &pos, sent_idx);
-            for (attr, range) in decode_spans(&labels, space) {
-                let value = words[range].join(" ");
-                local.push(Triple::new(product.id, space.attrs()[attr].clone(), value));
-            }
-        }
-        local
+        decode_sentences(tagger, product.id, &product.sentences, space, None)
     });
     let mut out: Vec<Triple> = per_product.into_iter().flatten().collect();
-    out.sort_by(|a, b| (a.product, &a.attr, &a.value).cmp(&(b.product, &b.attr, &b.value)));
+    out.sort();
     out.dedup();
     out
 }
@@ -335,32 +370,21 @@ pub fn extract_candidates_scored(
     space: &LabelSpace,
 ) -> Vec<(Triple, f64)> {
     let per_product = pae_runtime::parallel_map(&corpus.products, |_, product| {
-        let mut local = Vec::new();
-        for (sent_idx, sentence) in product.sentences.iter().enumerate() {
-            let words: Vec<String> = sentence.words().map(str::to_owned).collect();
-            if words.is_empty() {
-                continue;
-            }
-            let pos: Vec<PosTag> = sentence.tokens.iter().map(|t| t.pos).collect();
-            let (labels, confidence) = tagger.tag_scored(&words, &pos, sent_idx);
-            for (attr, range) in decode_spans(&labels, space) {
-                let span_conf =
-                    confidence[range.clone()].iter().sum::<f64>() / range.len().max(1) as f64;
-                let value = words[range].join(" ");
-                local.push((
-                    Triple::new(product.id, space.attrs()[attr].clone(), value),
-                    span_conf,
-                ));
-            }
-        }
-        local
+        let mut confidences = Vec::new();
+        let triples = decode_sentences(
+            tagger,
+            product.id,
+            &product.sentences,
+            space,
+            Some(&mut confidences),
+        );
+        (triples, confidences)
     });
-    let mut out: Vec<(Triple, f64)> = per_product.into_iter().flatten().collect();
-    out.sort_by(|a, b| {
-        (a.0.product, &a.0.attr, &a.0.value)
-            .cmp(&(b.0.product, &b.0.attr, &b.0.value))
-            .then(b.1.total_cmp(&a.1))
-    });
+    let mut out: Vec<(Triple, f64)> = per_product
+        .into_iter()
+        .flat_map(|(triples, confidences)| triples.into_iter().zip(confidences))
+        .collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.total_cmp(&a.1)));
     out.dedup_by(|next, prev| next.0 == prev.0);
     out
 }

@@ -148,9 +148,11 @@ impl WindowedCounter {
     }
 
     /// Total over the last `window_s` seconds (clamped to the span).
+    /// Like [`WindowedHistogram::window`], the read is unclamped: an
+    /// earlier `now_s` leaves out epochs written after it.
     pub fn total(&self, now_s: u64, window_s: u64) -> u64 {
         let epochs = (window_s.clamp(1, self.span_s())).div_ceil(self.epoch_s);
-        let current = (now_s / self.epoch_s).max(self.latest);
+        let current = now_s / self.epoch_s;
         let oldest = current.saturating_sub(epochs - 1);
         self.slots
             .iter()
@@ -271,6 +273,16 @@ mod tests {
         assert_eq!(c.total(100, 4), 12, "stepped-back add lands in epoch 100");
         c.add(103, 1);
         assert_eq!(c.total(103, 4), 13);
+    }
+
+    #[test]
+    fn counter_reads_at_an_earlier_epoch_leave_later_writes_out() {
+        // Reads are unclamped, as the histogram's are: the window ending
+        // at t=96 does not hold the write at t=100.
+        let mut c = WindowedCounter::new(1, 4);
+        c.add(100, 5);
+        assert_eq!(c.total(96, 4), 0);
+        assert_eq!(c.total(100, 4), 5);
     }
 
     #[test]

@@ -148,9 +148,12 @@ impl QualityRing {
         slot
     }
 
+    /// Merges the slots of the `width_s` seconds ending at `now_s`.
+    /// Unclamped, like the `pae_obs` window reads: an earlier `now_s`
+    /// leaves out epochs written after it.
     fn window(&self, now_s: u64, width_s: u64) -> QSlot {
         let epochs = width_s.clamp(1, self.span_s()).div_ceil(self.epoch_s);
-        let current = (now_s / self.epoch_s).max(self.latest);
+        let current = now_s / self.epoch_s;
         let oldest = current.saturating_sub(epochs - 1);
         let mut acc = QSlot::blank(self.n_attrs, self.n_backends, WINDOW_HITTERS);
         for (owner, slot) in &self.slots {
@@ -696,6 +699,16 @@ mod tests {
         // 10 minutes later both windows have rolled past the sample.
         assert_eq!(m.snapshot(600, 300).pages, 0);
         assert_eq!(m.snapshot(600, 60).pages, 0);
+    }
+
+    #[test]
+    fn reads_at_an_earlier_epoch_leave_later_records_out() {
+        // A page recorded between a reader's clock read and its lock
+        // must not show up in the reader's window.
+        let m = monitor(None);
+        m.record(100, &[page("red", 0.9)]);
+        assert_eq!(m.snapshot(96, 60).pages, 0);
+        assert_eq!(m.snapshot(100, 60).pages, 1);
     }
 
     #[test]

@@ -196,8 +196,13 @@ fn metrics_and_statusz_stay_consistent_under_concurrent_load() {
 fn sampling_and_slow_capture_never_change_extraction_bytes() {
     let fx = fixture();
     let direct = extractor();
-    let at_one: Vec<Triple> = pae_runtime::with_jobs(1, || direct.extract_pages(&fx.pages));
-    let at_four: Vec<Triple> = pae_runtime::with_jobs(4, || direct.extract_pages(&fx.pages));
+    let direct_at = |jobs| -> Vec<Triple> {
+        pae_runtime::with_jobs(jobs, || direct.extract_pages_observed(&fx.pages))
+            .into_iter()
+            .flat_map(|(triples, _)| triples)
+            .collect()
+    };
+    let (at_one, at_four) = (direct_at(1), direct_at(4));
     assert_eq!(at_one, at_four, "extraction depends on PAE_JOBS");
 
     let plain = start_server(0, 0, 0);

@@ -111,8 +111,13 @@ fn served_extraction_matches_direct_extraction_at_any_job_count() {
     // The in-loop reference, computed at two compute-pool widths: the
     // frozen pipeline must be thread-count invariant AND the served
     // answer must match it byte for byte.
-    let at_one: Vec<Triple> = pae_runtime::with_jobs(1, || direct.extract_pages(&fx.pages));
-    let at_four: Vec<Triple> = pae_runtime::with_jobs(4, || direct.extract_pages(&fx.pages));
+    let direct_at = |jobs| -> Vec<Triple> {
+        pae_runtime::with_jobs(jobs, || direct.extract_pages_observed(&fx.pages))
+            .into_iter()
+            .flat_map(|(triples, _)| triples)
+            .collect()
+    };
+    let (at_one, at_four) = (direct_at(1), direct_at(4));
     assert_eq!(at_one, at_four, "extraction depends on PAE_JOBS");
 
     let server = start_server();

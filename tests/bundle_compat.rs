@@ -55,7 +55,10 @@ fn fixture_pages() -> Vec<(u32, String)> {
 }
 
 fn extract_at(extractor: &FrozenExtractor, pages: &[(u32, String)], jobs: usize) -> Vec<Triple> {
-    with_jobs(jobs, || extractor.extract_pages(pages))
+    with_jobs(jobs, || extractor.extract_pages_observed(pages))
+        .into_iter()
+        .flat_map(|(triples, _)| triples)
+        .collect()
 }
 
 /// Loading the fixture and re-encoding the model it holds reproduces
@@ -167,6 +170,37 @@ fn fixture_extractor_is_job_count_invariant_and_matches_model_extractor() {
         extract_at(&from_model, &pages, 1),
         reference,
         "FrozenModel::extractor diverged from the loaded bundle's"
+    );
+}
+
+/// What `/extract` computes for the fixture pages, pinned: the triples
+/// in order, every span confidence rounded to 1e-9 (so no platform's
+/// libm can flip the hash), and the token and OOV counts, through the
+/// batch entry point the server calls. Only a change meant to change
+/// served output may re-record the value.
+#[test]
+fn served_fixture_output_is_pinned() {
+    let extractor = LoadedBundle::from_bytes(fixture_bytes())
+        .expect("fixture loads")
+        .extractor()
+        .expect("extractor");
+    let mut text = String::new();
+    for (triples, obs) in extractor.extract_pages_observed(&fixture_pages()) {
+        text.push_str(&format!("page {} {}\n", obs.tokens, obs.oov_tokens));
+        for t in &triples {
+            text.push_str(&format!("{}\t{}\t{}\n", t.product, t.attr, t.value));
+        }
+        for confidences in &obs.confidences {
+            for c in confidences {
+                text.push_str(&format!("{} ", (c * 1e9).round() as i64));
+            }
+            text.push('\n');
+        }
+    }
+    assert_eq!(
+        format!("{:016x}", fnv1a(text.as_bytes())),
+        "4884223bce17ad28",
+        "served output changed:\n{text}"
     );
 }
 
