@@ -1,13 +1,10 @@
-//! Criterion microbenchmarks for the lexicon/tokenizer hot paths,
-//! pitting the double-array trie against the pre-compaction HashMap
-//! probing it replaced.
+//! Criterion microbenchmarks for the lexicon/tokenizer hot paths.
 //!
 //! Two groups feed the repo-root `BENCH_pipeline.json` ledger:
 //!
 //! * `tokenizer_micro` — greedy longest-match scanning over
-//!   agglutinative text: the old per-prefix-length HashMap probe loop
-//!   (reimplemented here as the reference) vs the single automaton
-//!   descent of [`pae_text::Lexicon::longest_match_at`], plus the full
+//!   agglutinative text with the single automaton descent of
+//!   [`pae_text::Lexicon::longest_match_at`], plus the full
 //!   [`pae_text::LatticeTokenizer`] on the same corpus.
 //! * `lexicon_micro` — point lookups (`tag_of`) through both
 //!   representations and the thaw-then-compile cost of rebuilding the
@@ -15,8 +12,6 @@
 //!
 //! Like `crf_micro`, a custom `main` merges full-mode results into
 //! `BENCH_pipeline.json`; smoke mode (no `--bench`) persists nothing.
-
-use std::collections::HashMap;
 
 use criterion::{black_box, criterion_group, Criterion};
 
@@ -74,31 +69,6 @@ fn synth_texts(lexicon: &Lexicon, n_texts: usize, words_per_text: usize) -> Vec<
         .collect()
 }
 
-/// The pre-compaction reference: longest match by probing the entry
-/// map once per candidate prefix length, longest first. This is the
-/// exact loop `LatticeTokenizer::longest_match` ran before the trie.
-fn hashmap_longest_match(
-    map: &HashMap<String, PosTag>,
-    max_chars: usize,
-    chars: &[(usize, char)],
-    text: &str,
-    i: usize,
-) -> Option<usize> {
-    let limit = max_chars.min(chars.len() - i);
-    let start = chars[i].0;
-    for len in (1..=limit).rev() {
-        let end = if i + len < chars.len() {
-            chars[i + len].0
-        } else {
-            text.len()
-        };
-        if map.contains_key(&text[start..end]) {
-            return Some(len);
-        }
-    }
-    None
-}
-
 /// Sums match lengths over a whole-corpus scan: every char position of
 /// every text asks "longest entry starting here?" — the tokenizer's
 /// inner question, isolated from lattice bookkeeping.
@@ -107,29 +77,12 @@ fn bench_longest_match(c: &mut Criterion) {
     let texts = synth_texts(&lexicon, 48, 40);
     let char_maps: Vec<Vec<(usize, char)>> =
         texts.iter().map(|t| t.char_indices().collect()).collect();
-    let map: HashMap<String, PosTag> = lexicon.iter().collect();
-    let max_chars = lexicon.max_chars();
     // Frozen repr: matching goes straight to the automaton (compiled
     // once here, outside the timed region, as the serving path does).
     let frozen = Lexicon::from_fst(lexicon.compiled().clone());
 
     let mut group = c.benchmark_group("tokenizer_micro");
     group.sample_size(20);
-    group.bench_function("longest_match_hashmap", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for (text, chars) in texts.iter().zip(&char_maps) {
-                for i in 0..chars.len() {
-                    if let Some(len) =
-                        hashmap_longest_match(&map, max_chars, chars, black_box(text), i)
-                    {
-                        total += len;
-                    }
-                }
-            }
-            total
-        })
-    });
     group.bench_function("longest_match_fst", |b| {
         b.iter(|| {
             let mut total = 0usize;

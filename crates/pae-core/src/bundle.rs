@@ -1234,11 +1234,6 @@ impl LoadedBundle {
 // ---------------------------------------------------------------------
 // Whole-bundle convenience API.
 
-/// Parses and validates bundle bytes back into a [`FrozenModel`].
-pub fn decode(bytes: &[u8]) -> Result<FrozenModel, BundleError> {
-    LoadedBundle::from_bytes(bytes.to_vec())?.model()
-}
-
 /// The content hash a bundle's header declares (validating magic and
 /// version first). Cheap: does not decode or re-hash anything.
 pub fn declared_hash(bytes: &[u8]) -> Result<u64, BundleError> {
@@ -1271,6 +1266,11 @@ mod tests {
     use crate::corpus::parse_corpus;
     use pae_synth::{CategoryKind, DatasetSpec};
 
+    /// Loads `bytes` and rehydrates the whole model.
+    fn load_model(bytes: &[u8]) -> Result<FrozenModel, BundleError> {
+        LoadedBundle::from_bytes(bytes.to_vec())?.model()
+    }
+
     fn frozen_model(kind: TaggerKind) -> FrozenModel {
         let dataset = DatasetSpec::new(CategoryKind::VacuumCleaner, 42)
             .products(50)
@@ -1282,6 +1282,9 @@ mod tests {
             ..Default::default()
         };
         cfg.crf.max_iters = 40;
+        // Two epochs (the default) leave an ensemble's RNN arm decoding
+        // nothing, which freeze refuses.
+        cfg.rnn.epochs = 10;
         let outcome = BootstrapPipeline::new(cfg.clone()).run_on_corpus(&dataset, &corpus);
         FrozenModel::freeze(&dataset, &corpus, &outcome, &cfg).expect("freeze")
     }
@@ -1290,7 +1293,7 @@ mod tests {
     fn round_trip_is_byte_identical() {
         let model = frozen_model(TaggerKind::Crf);
         let bytes = encode(&model);
-        let restored = decode(&bytes).expect("decode");
+        let restored = load_model(&bytes).expect("decode");
         assert_eq!(model, restored);
         // Re-encoding the decoded model reproduces the bytes exactly,
         // and encoding is deterministic call to call.
@@ -1356,7 +1359,7 @@ mod tests {
     fn ensemble_round_trips() {
         let model = frozen_model(TaggerKind::Ensemble);
         let bytes = encode(&model);
-        let restored = decode(&bytes).expect("decode");
+        let restored = load_model(&bytes).expect("decode");
         assert_eq!(model, restored);
         assert!(matches!(restored.tagger, FrozenTagger::Ensemble { .. }));
     }
@@ -1434,13 +1437,13 @@ mod tests {
         // Bad magic.
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert_eq!(decode(&bad), Err(BundleError::BadMagic));
+        assert_eq!(load_model(&bad), Err(BundleError::BadMagic));
 
         // Wrong schema version.
         let mut bad = bytes.clone();
         bad[4] = 99;
         assert!(matches!(
-            decode(&bad),
+            load_model(&bad),
             Err(BundleError::UnsupportedVersion { found: 99 })
         ));
 
@@ -1449,7 +1452,7 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0xff;
         assert!(matches!(
-            decode(&bad),
+            load_model(&bad),
             Err(BundleError::HashMismatch { .. })
         ));
 
@@ -1457,19 +1460,19 @@ mod tests {
         let mut bad = bytes.clone();
         bad[HEADER_BYTES + 8] ^= 0xff;
         assert!(matches!(
-            decode(&bad),
+            load_model(&bad),
             Err(BundleError::HashMismatch { .. })
         ));
 
         // Empty input (truncations are fuzzed over the committed
         // fixture in tests/bundle_compat.rs).
-        assert!(decode(&[]).is_err());
+        assert!(load_model(&[]).is_err());
 
         // Trailing garbage after the last section → the sections no
         // longer end exactly at the file's end.
         let mut bad = bytes.clone();
         bad.push(0);
-        assert!(decode(&bad).is_err());
+        assert!(load_model(&bad).is_err());
     }
 
     #[test]

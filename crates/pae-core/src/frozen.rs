@@ -51,6 +51,13 @@ pub enum FreezeError {
     EmptyOutcome,
     /// Tagger training produced no labelled sentences.
     NoTrainingData,
+    /// One backend decoded no span over the freeze corpus (an RNN
+    /// trained too few epochs, say): an ensemble with that arm keeps
+    /// nothing, and the quality monitor has no confidence reference.
+    SilentBackend(String),
+    /// The frozen model extracts no triple from the freeze corpus, so
+    /// its bundle would serve nothing.
+    ServesNothing,
 }
 
 impl std::fmt::Display for FreezeError {
@@ -67,6 +74,14 @@ impl std::fmt::Display for FreezeError {
             FreezeError::NoTrainingData => write!(
                 f,
                 "cannot freeze: the final triples project onto no corpus sentences"
+            ),
+            FreezeError::SilentBackend(backend) => write!(
+                f,
+                "cannot freeze: the {backend} backend decodes no span on the freeze corpus"
+            ),
+            FreezeError::ServesNothing => write!(
+                f,
+                "cannot freeze: the frozen model extracts no triple from the freeze corpus"
             ),
         }
     }
@@ -152,6 +167,10 @@ impl FrozenModel {
     /// triples, bakes veto rule 3 into a blocklist, and captures the
     /// semantic cleaner's vectors and cores.
     ///
+    /// Fails closed when the reference pass over the freeze corpus
+    /// shows a backend that decodes no span or a model that extracts
+    /// no triple: such a bundle would load and serve nothing.
+    ///
     /// `config` must be the configuration `outcome` was produced with
     /// and `corpus` the parsed corpus it ran on.
     pub fn freeze(
@@ -236,7 +255,18 @@ impl FrozenModel {
                 tagger: tagger_name.to_owned(),
             },
         };
-        model.reference = Some(compute_reference(&model, dataset));
+        let reference = compute_reference(&model, dataset);
+        if let Some(silent) = reference
+            .backends
+            .iter()
+            .find(|b| b.confidence.iter().all(|&n| n == 0))
+        {
+            return Err(FreezeError::SilentBackend(silent.backend.clone()));
+        }
+        if reference.total_triples == 0 {
+            return Err(FreezeError::ServesNothing);
+        }
+        model.reference = Some(reference);
         Ok(model)
     }
 
@@ -614,6 +644,31 @@ mod tests {
             if let FrozenTagger::Ensemble { crf, rnn } = &model.tagger {
                 assert_ensemble_serves_its_arms_intersection(&dataset, &model, crf, rnn);
             }
+        }
+    }
+
+    /// An ensemble whose RNN arm trained two epochs (the default)
+    /// decodes no RNN span, so the intersection serves nothing: freeze
+    /// refuses it instead of writing a bundle that extracts nothing.
+    #[test]
+    fn ensemble_with_a_silent_arm_refuses_to_freeze() {
+        let dataset = DatasetSpec::new(CategoryKind::LadiesBags, 7)
+            .products(40)
+            .generate();
+        let corpus = parse_corpus(&dataset);
+        for kind in [TaggerKind::Rnn, TaggerKind::Ensemble] {
+            let cfg = PipelineConfig {
+                tagger: kind,
+                ..quick_config()
+            };
+            let outcome = BootstrapPipeline::new(cfg.clone()).run_on_corpus(&dataset, &corpus);
+            let err = FrozenModel::freeze(&dataset, &corpus, &outcome, &cfg).unwrap_err();
+            assert_eq!(
+                err,
+                FreezeError::SilentBackend("rnn".to_owned()),
+                "{kind:?}"
+            );
+            assert!(err.to_string().contains("rnn backend"), "{err}");
         }
     }
 

@@ -57,7 +57,7 @@ pub use record::{FieldValue, RecordKind, TraceRecord};
 pub use span::{
     current_span, event, provenance, span, span_complete, span_fields, warn, with_parent, SpanGuard,
 };
-pub use window::{WindowedCounter, WindowedHistogram};
+pub use window::{EpochRing, WindowedCounter, WindowedHistogram};
 
 /// Ring capacity used while provenance collection is active: lineage
 /// records are per-candidate × per-stage, far denser than span records,

@@ -4,12 +4,12 @@
 //! The cumulative registry ([`crate::metrics`]) answers "what happened
 //! since the process started"; a live server also needs "what happened
 //! in the last minute". [`WindowedHistogram`] and [`WindowedCounter`]
-//! keep a fixed ring of epoch buckets: time is divided into
-//! `epoch_s`-second epochs, each epoch owns one slot, and a slot is
-//! lazily reset the first time a newer epoch touches it. Reading a
-//! window of `W` seconds merges the `W / epoch_s` most recent slots
-//! (including the current, partially-filled one) — an estimate that is
-//! at most one epoch stale at the edges, which is the standard
+//! keep a fixed ring of epoch buckets, an [`EpochRing`]: time is
+//! divided into `epoch_s`-second epochs, each epoch owns one slot, and
+//! a slot is lazily reset the first time a newer epoch touches it.
+//! Reading a window of `W` seconds merges the `W / epoch_s` most recent
+//! slots (including the current, partially-filled one) — an estimate
+//! that is at most one epoch stale at the edges, which is the standard
 //! trade-off for O(1) updates and bounded memory.
 //!
 //! **The clock is injected**: every operation takes `now_s`, seconds on
@@ -29,28 +29,33 @@
 
 use crate::metrics::Histogram;
 
-/// A histogram over a rolling time window: a ring of per-epoch
-/// [`Histogram`]s merged on demand.
+/// A fixed ring of per-epoch slots, the one windowing primitive behind
+/// [`WindowedHistogram`], [`WindowedCounter`] and any other rolling
+/// aggregate: `slot_mut` does the clamped write and the lazy reset to
+/// a blank `T`, `window` yields the slots a window read merges.
 #[derive(Debug, Clone)]
-pub struct WindowedHistogram {
+pub struct EpochRing<T: Clone> {
     epoch_s: u64,
+    /// What a slot is reset to when a newer epoch claims it.
+    blank: T,
     /// `slots[i]` holds data for epoch `e` where `e % slots.len() == i`;
     /// the paired `u64` records which epoch the slot currently belongs
-    /// to (stale slots are reset on first touch).
-    slots: Vec<(u64, Histogram)>,
-    /// Newest epoch any operation has seen; `now_s` values that map to
-    /// an older epoch are clamped here (backwards-clock tolerance).
+    /// to (`u64::MAX` before the first write).
+    slots: Vec<(u64, T)>,
+    /// Newest epoch any write has seen; `now_s` values that map to an
+    /// older epoch are clamped here (backwards-clock tolerance).
     latest: u64,
 }
 
-impl WindowedHistogram {
-    /// A ring of `n_slots` epochs of `epoch_s` seconds each; the widest
-    /// answerable window is `epoch_s * n_slots` seconds.
-    pub fn new(epoch_s: u64, n_slots: usize) -> WindowedHistogram {
+impl<T: Clone> EpochRing<T> {
+    /// A ring of `n_slots` epochs of `epoch_s` seconds each, every slot
+    /// starting as `blank`.
+    pub fn new(epoch_s: u64, n_slots: usize, blank: T) -> EpochRing<T> {
         assert!(epoch_s > 0 && n_slots > 0);
-        WindowedHistogram {
+        EpochRing {
             epoch_s,
-            slots: vec![(u64::MAX, Histogram::default()); n_slots],
+            slots: vec![(u64::MAX, blank.clone()); n_slots],
+            blank,
             latest: 0,
         }
     }
@@ -60,33 +65,68 @@ impl WindowedHistogram {
         self.epoch_s * self.slots.len() as u64
     }
 
-    fn slot_mut(&mut self, now_s: u64) -> &mut Histogram {
+    /// The slot of `now_s`'s epoch, clamped to the newest epoch written
+    /// and reset to blank if it still holds an older epoch.
+    pub fn slot_mut(&mut self, now_s: u64) -> &mut T {
         let epoch = (now_s / self.epoch_s).max(self.latest);
         self.latest = epoch;
         let i = (epoch % self.slots.len() as u64) as usize;
-        let (owner, hist) = &mut self.slots[i];
+        let (owner, slot) = &mut self.slots[i];
         if *owner != epoch {
             *owner = epoch;
-            *hist = Histogram::default();
+            *slot = self.blank.clone();
         }
-        hist
+        slot
+    }
+
+    /// The slots of the last `window_s` seconds (clamped to the span)
+    /// ending at `now_s`, in ring order. The current epoch is included,
+    /// so fresh writes are visible at once; the read is unclamped, so
+    /// an earlier `now_s` leaves out epochs written after it.
+    pub fn window(&self, now_s: u64, window_s: u64) -> impl Iterator<Item = &T> {
+        let epochs = window_s.clamp(1, self.span_s()).div_ceil(self.epoch_s);
+        let current = now_s / self.epoch_s;
+        let oldest = current.saturating_sub(epochs - 1);
+        self.slots
+            .iter()
+            .filter(move |(owner, _)| (oldest..=current).contains(owner))
+            .map(|(_, slot)| slot)
+    }
+}
+
+/// A histogram over a rolling time window: a ring of per-epoch
+/// [`Histogram`]s merged on demand.
+#[derive(Debug, Clone)]
+pub struct WindowedHistogram {
+    ring: EpochRing<Histogram>,
+}
+
+impl WindowedHistogram {
+    /// A ring of `n_slots` epochs of `epoch_s` seconds each; the widest
+    /// answerable window is `epoch_s * n_slots` seconds.
+    pub fn new(epoch_s: u64, n_slots: usize) -> WindowedHistogram {
+        WindowedHistogram {
+            ring: EpochRing::new(epoch_s, n_slots, Histogram::default()),
+        }
+    }
+
+    /// The widest window this ring can answer, in seconds.
+    pub fn span_s(&self) -> u64 {
+        self.ring.span_s()
     }
 
     /// Records one observation at time `now_s`.
     pub fn observe(&mut self, now_s: u64, v: f64) {
-        self.slot_mut(now_s).observe(v);
+        self.ring.slot_mut(now_s).observe(v);
     }
 
     /// Merges the slots covering the last `window_s` seconds (clamped
     /// to the ring span) into one [`Histogram`]. The current epoch is
     /// included, so fresh observations are visible immediately.
     pub fn window(&self, now_s: u64, window_s: u64) -> Histogram {
-        let epochs = (window_s.clamp(1, self.span_s())).div_ceil(self.epoch_s);
-        let current = now_s / self.epoch_s;
-        let oldest = current.saturating_sub(epochs - 1);
         let mut merged = Histogram::default();
-        for (owner, hist) in &self.slots {
-            if *owner < oldest || *owner > current || hist.count == 0 {
+        for hist in self.ring.window(now_s, window_s) {
+            if hist.count == 0 {
                 continue;
             }
             for (b, c) in merged.buckets.iter_mut().zip(hist.buckets.iter()) {
@@ -109,56 +149,32 @@ impl WindowedHistogram {
 /// A counter over a rolling time window: a ring of per-epoch totals.
 #[derive(Debug, Clone)]
 pub struct WindowedCounter {
-    epoch_s: u64,
-    /// `(owning epoch, count)` pairs, same slot discipline as
-    /// [`WindowedHistogram`].
-    slots: Vec<(u64, u64)>,
-    /// Newest epoch seen, for backwards-clock clamping (see
-    /// [`WindowedHistogram::latest`]).
-    latest: u64,
+    ring: EpochRing<u64>,
 }
 
 impl WindowedCounter {
     /// A ring of `n_slots` epochs of `epoch_s` seconds each.
     pub fn new(epoch_s: u64, n_slots: usize) -> WindowedCounter {
-        assert!(epoch_s > 0 && n_slots > 0);
         WindowedCounter {
-            epoch_s,
-            slots: vec![(u64::MAX, 0); n_slots],
-            latest: 0,
+            ring: EpochRing::new(epoch_s, n_slots, 0),
         }
     }
 
     /// The widest window this ring can answer, in seconds.
     pub fn span_s(&self) -> u64 {
-        self.epoch_s * self.slots.len() as u64
+        self.ring.span_s()
     }
 
     /// Adds `delta` at time `now_s`.
     pub fn add(&mut self, now_s: u64, delta: u64) {
-        let epoch = (now_s / self.epoch_s).max(self.latest);
-        self.latest = epoch;
-        let i = (epoch % self.slots.len() as u64) as usize;
-        let (owner, count) = &mut self.slots[i];
-        if *owner != epoch {
-            *owner = epoch;
-            *count = 0;
-        }
-        *count += delta;
+        *self.ring.slot_mut(now_s) += delta;
     }
 
     /// Total over the last `window_s` seconds (clamped to the span).
     /// Like [`WindowedHistogram::window`], the read is unclamped: an
     /// earlier `now_s` leaves out epochs written after it.
     pub fn total(&self, now_s: u64, window_s: u64) -> u64 {
-        let epochs = (window_s.clamp(1, self.span_s())).div_ceil(self.epoch_s);
-        let current = now_s / self.epoch_s;
-        let oldest = current.saturating_sub(epochs - 1);
-        self.slots
-            .iter()
-            .filter(|(owner, _)| *owner >= oldest && *owner <= current)
-            .map(|(_, c)| c)
-            .sum()
+        self.ring.window(now_s, window_s).sum()
     }
 
     /// Average per-second rate over the last `window_s` seconds.

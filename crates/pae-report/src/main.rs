@@ -2,24 +2,21 @@
 //!
 //! ```text
 //! pae-report summarize <trace.jsonl|summary.json> [--name N] [--out FILE] [--quality-only]
-//! pae-report diff  <baseline> <current> [threshold flags]
-//! pae-report check <current> --baseline <FILE> [threshold flags]
-//! pae-report check <current BENCH_pipeline.json> --bench-baseline <FILE> [threshold flags]
+//! pae-report diff  <baseline> <current> [tolerance flags]
+//! pae-report check <current> --baseline <FILE> [tolerance flags]
 //! pae-report explain <trace.jsonl> [--attribute A] [--value V] [--product P] [--json]
 //! pae-report explain-diff <current trace.jsonl> --baseline <trace.jsonl>
 //! pae-report flamegraph <trace.jsonl> [--weight time|bytes] [--out FILE]
 //!
-//! threshold flags:
-//!   --time-tolerance F    allowed relative slowdown per stage (default 0.5)
-//!   --time-floor-ms F     ignore stages faster than this (default 10)
-//!   --precision-tol F     allowed precision drop (default 0.02)
-//!   --coverage-tol F      allowed coverage drop (default 0.02)
-//!   --drift-tol F         allowed drift-score rise (default 0.25)
-//!   --error-rate-tol F    allowed serving error-rate rise (default 0)
-//!   --mem-tolerance F     allowed relative memory growth (default 0.25)
-//!   --empty-rate-tol F    allowed online empty-extraction-rate rise (default 0.1)
-//!   --oov-tol F           allowed online OOV-token-rate rise (default 0.1)
+//! tolerance flags:
+//!   --time-tolerance F    allowed relative slowdown of a stage and of
+//!                         the serving p99 (default 0.5)
+//!   --mem-tolerance F     allowed relative growth of peak RSS and of
+//!                         allocated bytes (default 0.25)
 //! ```
+//!
+//! Every other gate runs at the tolerance its row of
+//! `pae_report::diff::GATES` declares.
 //!
 //! Inputs may be raw JSONL traces or already-built summary JSON; the
 //! format is auto-detected (`explain`/`explain-diff` need raw traces
@@ -30,23 +27,19 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use pae_obs::reader::Trace;
-use pae_report::bench;
-use pae_report::diff::{check, diff_summaries, Thresholds};
+use pae_report::diff::{diff_summaries, GATES};
 use pae_report::ledger;
 use pae_report::lineage::{fate_flips, LineageLedger};
 use pae_report::summary::{RunMeta, RunSummary};
 
 const USAGE: &str = "usage:
   pae-report summarize <trace.jsonl|summary.json> [--name N] [--out FILE] [--quality-only]
-  pae-report diff  <baseline> <current> [threshold flags]
-  pae-report check <current> --baseline <FILE> [threshold flags]
-  pae-report check <current BENCH_pipeline.json> --bench-baseline <FILE> [threshold flags]
+  pae-report diff  <baseline> <current> [tolerance flags]
+  pae-report check <current> --baseline <FILE> [tolerance flags]
   pae-report explain <trace.jsonl> [--attribute A] [--value V] [--product P] [--json]
   pae-report explain-diff <current trace.jsonl> --baseline <trace.jsonl>
   pae-report flamegraph <trace.jsonl> [--weight time|bytes] [--out FILE]
-threshold flags: --time-tolerance F  --time-floor-ms F  --precision-tol F
-                 --coverage-tol F    --drift-tol F       --error-rate-tol F
-                 --mem-tolerance F   --empty-rate-tol F  --oov-tol F";
+tolerance flags: --time-tolerance F (default 0.5)  --mem-tolerance F (default 0.25)";
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("pae-report: {msg}");
@@ -86,38 +79,23 @@ fn load_summary(path: &str, name_hint: Option<&str>) -> Result<RunSummary, Strin
     }
 }
 
-/// Parses threshold flags out of `args`, leaving everything else.
-fn take_thresholds(args: &mut Vec<String>) -> Result<Thresholds, String> {
-    let mut t = Thresholds::default();
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = std::mem::take(args).into_iter();
-    while let Some(arg) = it.next() {
-        let mut grab = |target: &mut f64| -> Result<(), String> {
-            let v = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
-            *target = v
-                .parse::<f64>()
-                .map_err(|_| format!("{arg}: not a number: {v}"))?;
-            Ok(())
-        };
-        match arg.as_str() {
-            "--time-tolerance" => grab(&mut t.time_tolerance)?,
-            "--precision-tol" => grab(&mut t.precision_tol)?,
-            "--coverage-tol" => grab(&mut t.coverage_tol)?,
-            "--drift-tol" => grab(&mut t.drift_tol)?,
-            "--error-rate-tol" => grab(&mut t.error_rate_tol)?,
-            "--mem-tolerance" => grab(&mut t.mem_tolerance)?,
-            "--empty-rate-tol" => grab(&mut t.empty_rate_tol)?,
-            "--oov-tol" => grab(&mut t.oov_tol)?,
-            "--time-floor-ms" => {
-                let mut ms = 0.0;
-                grab(&mut ms)?;
-                t.time_floor_ns = (ms * 1e6) as u64;
-            }
-            _ => rest.push(arg),
+/// Takes the tolerance flags [`GATES`] declares out of `args`, as
+/// `(flag, tolerance)` overrides. Any other flag left behind is an
+/// error.
+fn take_tolerances(args: &mut Vec<String>) -> Result<Vec<(&'static str, f64)>, String> {
+    let mut overrides = Vec::new();
+    for flag in GATES.iter().filter_map(|g| g.flag) {
+        if let Some(v) = take_flag_value(args, flag)? {
+            let tol = v
+                .parse()
+                .map_err(|_| format!("{flag}: not a number: {v}"))?;
+            overrides.push((flag, tol));
         }
     }
-    *args = rest;
-    Ok(t)
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag {flag}"));
+    }
+    Ok(overrides)
 }
 
 fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
@@ -169,45 +147,26 @@ fn cmd_summarize(mut args: Vec<String>) -> Result<ExitCode, String> {
 }
 
 fn cmd_diff(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let t = take_thresholds(&mut args)?;
+    let overrides = take_tolerances(&mut args)?;
     let [baseline, current] = args.as_slice() else {
         return Err("diff takes exactly two input files".into());
     };
     let b = load_summary(baseline, None)?;
     let c = load_summary(current, None)?;
-    print!("{}", diff_summaries(&b, &c, &t).render());
+    print!("{}", diff_summaries(&b, &c, &overrides).render());
     Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_check(mut args: Vec<String>) -> Result<ExitCode, String> {
-    let t = take_thresholds(&mut args)?;
-    let bench_baseline = take_flag_value(&mut args, "--bench-baseline")?;
-    if let Some(baseline) = bench_baseline {
-        // Benchmark-ledger mode: both sides are BENCH_pipeline.json
-        // documents, gated median-per-id with the perf tolerance.
-        let [current] = args.as_slice() else {
-            return Err("check takes exactly one current input file".into());
-        };
-        let read =
-            |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
-        let b = bench::parse_bench(&read(&baseline)?).map_err(|e| format!("{baseline}: {e}"))?;
-        let c = bench::parse_bench(&read(current)?).map_err(|e| format!("{current}: {e}"))?;
-        let report = bench::check_bench(&b, &c, &t);
-        print!("{}", report.render());
-        return Ok(if report.passed() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        });
-    }
     let baseline =
         take_flag_value(&mut args, "--baseline")?.ok_or("check requires --baseline <FILE>")?;
+    let overrides = take_tolerances(&mut args)?;
     let [current] = args.as_slice() else {
         return Err("check takes exactly one current input file".into());
     };
     let b = load_summary(&baseline, None)?;
     let c = load_summary(current, None)?;
-    let report = check(&b, &c, &t);
+    let report = diff_summaries(&b, &c, &overrides);
     print!("{}", report.render());
     Ok(if report.passed() {
         ExitCode::SUCCESS

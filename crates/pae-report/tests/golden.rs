@@ -10,11 +10,16 @@ use std::path::Path;
 use std::process::Command;
 
 use pae_obs::reader::Trace;
-use pae_report::diff::{check, Thresholds};
+use pae_report::diff::{diff_summaries, DiffReport};
 use pae_report::summary::{RunMeta, RunSummary};
 
 fn fixture(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Gates `current` against `baseline` at the default tolerances.
+fn check(baseline: &RunSummary, current: &RunSummary) -> DiffReport {
+    diff_summaries(baseline, current, &[])
 }
 
 fn summarize(name: &str) -> RunSummary {
@@ -92,7 +97,7 @@ fn summary_json_round_trips_and_is_stable() {
 #[test]
 fn clean_vs_clean_passes() {
     let s = summarize("clean.jsonl");
-    let report = check(&s, &s, &Thresholds::default());
+    let report = check(&s, &s);
     assert!(report.passed(), "{}", report.render());
 }
 
@@ -100,7 +105,7 @@ fn clean_vs_clean_passes() {
 fn injected_regressions_are_each_caught() {
     let clean = summarize("clean.jsonl");
     let bad = summarize("regressed.jsonl");
-    let report = check(&clean, &bad, &Thresholds::default());
+    let report = check(&clean, &bad);
     let kinds: Vec<&str> = report.violations.iter().map(|v| v.kind).collect();
     // semantic +140% (seed is sub-floor, iteration +30% within
     // tolerance), headline precision 0.9→0.8, attr color coverage
@@ -112,7 +117,7 @@ fn injected_regressions_are_each_caught() {
         report.render()
     );
     // The reverse direction (a run getting faster/better) passes.
-    let reverse = check(&bad, &clean, &Thresholds::default());
+    let reverse = check(&bad, &clean);
     assert!(reverse.passed(), "{}", reverse.render());
 }
 
@@ -120,23 +125,34 @@ fn injected_regressions_are_each_caught() {
 fn thresholds_gate_each_dimension_independently() {
     let clean = summarize("clean.jsonl");
     let bad = summarize("regressed.jsonl");
-    let loose = Thresholds {
-        time_tolerance: 10.0,
-        precision_tol: 0.5,
-        coverage_tol: 0.5,
-        drift_tol: 5.0,
-        ..Thresholds::default()
-    };
-    assert!(check(&clean, &bad, &loose).passed());
-    let only_perf = Thresholds {
-        precision_tol: 0.5,
-        coverage_tol: 0.5,
-        drift_tol: 5.0,
-        ..Thresholds::default()
-    };
-    let report = check(&clean, &bad, &only_perf);
+    // A wide time tolerance clears the perf gate and nothing else.
+    let loose = diff_summaries(&clean, &bad, &[("--time-tolerance", 10.0)]);
+    let kinds: Vec<&str> = loose.violations.iter().map(|v| v.kind).collect();
+    assert_eq!(kinds, vec!["precision", "coverage", "drift"]);
+    // With the quality regressions undone, perf alone trips.
+    let mut only_perf = bad.clone();
+    only_perf.runs = clean.runs.clone();
+    only_perf.evals = clean.evals.clone();
+    let report = check(&clean, &only_perf);
     assert_eq!(report.violations.len(), 1);
     assert_eq!(report.violations[0].kind, "perf");
+    assert!(diff_summaries(&clean, &only_perf, &[("--time-tolerance", 10.0)]).passed());
+}
+
+#[test]
+fn emptied_evals_and_runs_fail_instead_of_passing_vacuously() {
+    let clean = summarize("clean.jsonl");
+    let mut hollow = clean.clone();
+    hollow.evals.clear();
+    hollow.runs.clear();
+    let report = check(&clean, &hollow);
+    let kinds: Vec<&str> = report.violations.iter().map(|v| v.kind).collect();
+    assert_eq!(
+        kinds,
+        vec!["eval-missing", "drift-missing"],
+        "{}",
+        report.render()
+    );
 }
 
 fn run_cli(args: &[&str]) -> (i32, String, String) {
@@ -166,22 +182,36 @@ fn cli_check_exit_codes_honor_thresholds() {
     assert!(stdout.contains("[perf]"));
     assert!(stdout.contains("[drift]"));
 
-    // Loose thresholds turn the same comparison into a pass.
-    let (code, _, _) = run_cli(&[
+    // A wide time tolerance clears the perf gate only.
+    let (code, stdout, _) = run_cli(&[
         "check",
         &bad,
         "--baseline",
         &clean,
         "--time-tolerance",
         "10",
-        "--precision-tol",
-        "0.5",
-        "--coverage-tol",
-        "0.5",
-        "--drift-tol",
-        "5",
     ]);
-    assert_eq!(code, 0);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(!stdout.contains("[perf]"), "{stdout}");
+    assert!(stdout.contains("[drift]"), "{stdout}");
+
+    // The removed threshold flags are usage errors, not silent no-ops.
+    for flag in [
+        "--time-floor-ms",
+        "--precision-tol",
+        "--coverage-tol",
+        "--drift-tol",
+        "--error-rate-tol",
+        "--empty-rate-tol",
+        "--oov-tol",
+        "--bench-baseline",
+    ] {
+        let (code, _, stderr) = run_cli(&["check", &bad, "--baseline", &clean, flag, "0"]);
+        assert_eq!(code, 2, "{flag}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "{flag}: {stderr}");
+        let (code, _, _) = run_cli(&["diff", &clean, &bad, flag, "0"]);
+        assert_eq!(code, 2, "diff {flag}");
+    }
 }
 
 #[test]

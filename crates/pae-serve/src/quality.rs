@@ -32,7 +32,7 @@ use pae_core::quality::{
 };
 use pae_core::{PageObservation, Triple};
 use pae_obs::sketch::{js_divergence, psi, SpaceSaving};
-use pae_obs::{MetricKey, MetricValue};
+use pae_obs::{EpochRing, MetricKey, MetricValue};
 
 use crate::telemetry::{EPOCH_S, N_SLOTS, WINDOWS};
 
@@ -53,9 +53,9 @@ const MIN_TRIPLES: u64 = 10;
 /// is scored.
 const MIN_CANDIDATES: u64 = 10;
 
-/// Per-epoch accumulation: the quality analogue of a windowed-histogram
-/// slot, owning fixed-bucket counts and bounded sketches only (no
-/// floats, no unbounded maps).
+/// Per-epoch accumulation in the monitor's [`EpochRing`]: the quality
+/// analogue of a windowed-histogram slot, owning fixed-bucket counts
+/// and bounded sketches only (no floats, no unbounded maps).
 #[derive(Clone)]
 struct QSlot {
     pages: u64,
@@ -108,70 +108,13 @@ impl QSlot {
     }
 }
 
-/// Epoch ring of [`QSlot`]s, same owner-epoch discipline as the
-/// `pae_obs` windowed structures: a slot is reset when a new epoch
-/// claims it, and a window read merges the slots whose owner falls in
-/// the window. `u64::MAX` marks a never-written slot.
-struct QualityRing {
-    epoch_s: u64,
-    latest: u64,
-    n_attrs: usize,
-    n_backends: usize,
-    slots: Vec<(u64, QSlot)>,
-}
-
-impl QualityRing {
-    fn new(epoch_s: u64, n_slots: usize, n_attrs: usize, n_backends: usize) -> QualityRing {
-        assert!(epoch_s > 0 && n_slots > 0);
-        QualityRing {
-            epoch_s,
-            latest: 0,
-            n_attrs,
-            n_backends,
-            slots: vec![(u64::MAX, QSlot::blank(n_attrs, n_backends, SLOT_HITTERS)); n_slots],
-        }
-    }
-
-    fn span_s(&self) -> u64 {
-        self.epoch_s * self.slots.len() as u64
-    }
-
-    fn slot_mut(&mut self, now_s: u64) -> &mut QSlot {
-        let epoch = (now_s / self.epoch_s).max(self.latest);
-        self.latest = epoch;
-        let i = (epoch % self.slots.len() as u64) as usize;
-        let (owner, slot) = &mut self.slots[i];
-        if *owner != epoch {
-            *owner = epoch;
-            *slot = QSlot::blank(self.n_attrs, self.n_backends, SLOT_HITTERS);
-        }
-        slot
-    }
-
-    /// Merges the slots of the `width_s` seconds ending at `now_s`.
-    /// Unclamped, like the `pae_obs` window reads: an earlier `now_s`
-    /// leaves out epochs written after it.
-    fn window(&self, now_s: u64, width_s: u64) -> QSlot {
-        let epochs = width_s.clamp(1, self.span_s()).div_ceil(self.epoch_s);
-        let current = now_s / self.epoch_s;
-        let oldest = current.saturating_sub(epochs - 1);
-        let mut acc = QSlot::blank(self.n_attrs, self.n_backends, WINDOW_HITTERS);
-        for (owner, slot) in &self.slots {
-            if *owner != u64::MAX && *owner >= oldest && *owner <= current {
-                acc.merge(slot);
-            }
-        }
-        acc
-    }
-}
-
 struct QInner {
     pages_total: u64,
     empty_total: u64,
     tokens_total: u64,
     oov_total: u64,
     triples_total: Vec<u64>,
-    ring: QualityRing,
+    ring: EpochRing<QSlot>,
 }
 
 /// One attribute's live window view, with its drift score when a
@@ -262,7 +205,11 @@ impl QualityMonitor {
                 tokens_total: 0,
                 oov_total: 0,
                 triples_total: vec![0; n_attrs],
-                ring: QualityRing::new(EPOCH_S, N_SLOTS, n_attrs, n_backends),
+                ring: EpochRing::new(
+                    EPOCH_S,
+                    N_SLOTS,
+                    QSlot::blank(n_attrs, n_backends, SLOT_HITTERS),
+                ),
             }),
         }
     }
@@ -323,7 +270,11 @@ impl QualityMonitor {
     pub(crate) fn snapshot(&self, now_s: u64, width_s: u64) -> WindowSnapshot {
         let merged = {
             let inner = self.inner.lock().expect("quality lock poisoned");
-            inner.ring.window(now_s, width_s)
+            let mut acc = QSlot::blank(self.attrs.len(), self.backends.len(), WINDOW_HITTERS);
+            for slot in inner.ring.window(now_s, width_s) {
+                acc.merge(slot);
+            }
+            acc
         };
         let attrs = self
             .attrs
